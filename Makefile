@@ -100,8 +100,10 @@ mt-smoke:
 # (arbitrary profiles through generate -> validate -> execute, including
 # the per-context ThreadProfile derivation), the durable store's record
 # decoder (arbitrary segment bytes through the crash-recovery scanner),
-# the explore-spec parser (ports/threads axes included), and the compact
-# scheme-spec grammar (port-filtering modifiers and kinds). Regressions
+# the explore-spec parser (ports/threads axes included), the compact
+# scheme-spec grammar (port-filtering modifiers and kinds), and the run
+# options contract (accepted options run, rejected ones name a wire
+# field). Regressions
 # land as crashers here long before they corrupt a simulation. The
 # committed corpora under testdata/fuzz/ replay on every plain `go test`
 # run too.
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStoreDecode$$' -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzExploreSpec$$' -fuzztime=10s ./internal/explore
 	$(GO) test -run='^$$' -fuzz='^FuzzSchemeSpec$$' -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzOptions$$' -fuzztime=10s ./internal/sim
 
 # Whole-module statement coverage. The floor trails the measured baseline
 # (81.9% when the exploration engine landed) by a small margin; raise it

@@ -10,12 +10,18 @@
 // register cache event as NDJSON for offline distribution analysis, and
 // -http serves expvar metrics plus pprof profiles while the run executes.
 //
+// The machine is one -scheme SPEC in the compact grammar the daemon,
+// client and explore engine share (sim.ParseSchemeSpec): mono[:lat],
+// use|lru|nb|port:ExW[:index], twolevel:L1[:l2lat], plus the :oracle,
+// :bN (backing latency) and :pN (read ports) modifiers.
+//
 // Examples:
 //
 //	regsim -bench gzip -n 300000
-//	regsim -bench mcf -scheme mono -rflat 3
-//	regsim -bench gcc -entries 32 -ways 4 -insert lru -index preg
-//	regsim -bench vpr -scheme twolevel -l1 96
+//	regsim -bench mcf -scheme mono:3
+//	regsim -bench gcc -scheme lru:32x4:preg
+//	regsim -bench vpr -scheme twolevel:96
+//	regsim -bench mcf -scheme use:16x1:p1 -threads 4
 //	regsim -bench bzip2 -lifetimes
 //	regsim -bench all -workers 4 -json out.json
 //	regsim -bench gzip -n 50000 -trace timeline.json -cachelog cache.ndjson
@@ -30,13 +36,11 @@ import (
 	"strings"
 	"time"
 
-	"regcache/internal/core"
 	"regcache/internal/obs"
 	"regcache/internal/pipeline"
 	"regcache/internal/prog"
 	"regcache/internal/sim"
 	"regcache/internal/store"
-	"regcache/internal/twolevel"
 )
 
 func main() {
@@ -47,16 +51,7 @@ func main() {
 		warmup    = flag.Uint64("warmup", 0, "per-interval warm-up instructions, discarded from counters (0 = default when -intervals > 1)")
 		threads   = flag.Int("threads", 0, "multithreaded workload contexts per run (0/1 = single-context)")
 		ilv       = flag.Int("interleave", 0, "fetch-interleave granularity in instructions when -threads > 1 (0 = default)")
-		rports    = flag.Int("ports", 0, "backing-file read ports for cache schemes (0 = unported legacy model)")
-		scheme    = flag.String("scheme", "cache", "register storage scheme: cache, mono, twolevel")
-		rflat     = flag.Int("rflat", 3, "monolithic register file latency")
-		backlat   = flag.Int("backlat", 2, "backing file latency")
-		entries   = flag.Int("entries", 64, "register cache entries")
-		ways      = flag.Int("ways", 2, "register cache associativity (0 = fully associative)")
-		insert    = flag.String("insert", "use", "insertion policy: lru, nonbypass, use")
-		index     = flag.String("index", "", "index scheme: preg, rr, min, filtered (default: filtered for use, rr otherwise)")
-		l1        = flag.Int("l1", 96, "two-level scheme L1 file entries")
-		l2lat     = flag.Int("l2lat", 2, "two-level scheme L2 latency")
+		spec      = flag.String("scheme", "use:64x2:filtered", "register storage scheme spec, e.g. mono:3, lru:32x4:preg, twolevel:96:3, use:64x2:p2:oracle")
 		life      = flag.Bool("lifetimes", false, "report register lifetime phases and live-count distributions")
 		verbose   = flag.Bool("v", false, "print detailed cache statistics")
 		workers   = flag.Int("workers", runtime.NumCPU(), "simulation worker pool size (must be >= 1)")
@@ -73,6 +68,24 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	opts := sim.Options{
+		Insts:          *n,
+		Intervals:      *intervals,
+		WarmupInsts:    *warmup,
+		Threads:        *threads,
+		Interleave:     *ilv,
+		TrackLifetimes: *life,
+		TrackLive:      *life,
+	}
+	s, err := sim.ParseSchemeSpec(*spec)
+	if err == nil {
+		err = sim.ValidatePoint(s, opts)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "regsim: %v\n", err)
+		os.Exit(2)
+	}
+
 	if err := sim.ConfigureDefaultRunner(*workers); err != nil {
 		fmt.Fprintf(os.Stderr, "configuring runner: %v\n", err)
 		os.Exit(2)
@@ -91,66 +104,6 @@ func main() {
 		rstore = rs
 	}
 
-	s := sim.Scheme{RFLatency: *rflat, BackingLatency: *backlat}
-	switch *scheme {
-	case "cache":
-		s.Kind = pipeline.SchemeCache
-	case "mono", "monolithic":
-		s.Kind = pipeline.SchemeMonolithic
-	case "twolevel", "two-level":
-		s.Kind = pipeline.SchemeTwoLevel
-		s.TwoLevel = twolevel.Config{L1Entries: *l1, L2Latency: *l2lat}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
-		os.Exit(2)
-	}
-	if s.Kind == pipeline.SchemeCache {
-		cc := core.Config{Entries: *entries, Ways: *ways, ClassifyMisses: true}
-		switch *insert {
-		case "lru":
-			cc.Insert, cc.Replace = core.InsertAlways, core.ReplaceLRU
-		case "nonbypass", "nb":
-			cc.Insert, cc.Replace = core.InsertNonBypass, core.ReplaceLRU
-		case "use", "usebased":
-			cc.Insert, cc.Replace = core.InsertUseBased, core.ReplaceUseBased
-		default:
-			fmt.Fprintf(os.Stderr, "unknown insertion policy %q\n", *insert)
-			os.Exit(2)
-		}
-		idx := *index
-		if idx == "" {
-			if *insert == "use" {
-				idx = "filtered"
-			} else {
-				idx = "rr"
-			}
-		}
-		switch idx {
-		case "preg":
-			cc.Index = core.IndexPReg
-		case "rr", "roundrobin":
-			cc.Index = core.IndexRoundRobin
-		case "min", "minimum":
-			cc.Index = core.IndexMinimum
-		case "filtered", "frr":
-			cc.Index = core.IndexFilteredRR
-		default:
-			fmt.Fprintf(os.Stderr, "unknown index scheme %q\n", idx)
-			os.Exit(2)
-		}
-		s.Cache = cc
-		s.Name = fmt.Sprintf("%s-%dx%d-%s", *insert, *entries, *ways, cc.Index)
-		if *rports > 0 {
-			s.ReadPorts = *rports
-			s.Name = fmt.Sprintf("%s-p%d", s.Name, *rports)
-		}
-	} else if *rports > 0 {
-		fmt.Fprintln(os.Stderr, "-ports applies only to cache schemes (read-port filtering needs a register cache in front of the backing file)")
-		os.Exit(2)
-	} else {
-		s.Name = *scheme
-	}
-
 	if *httpAddr != "" {
 		dbg, err := obs.StartDebugServer(*httpAddr)
 		if err != nil {
@@ -159,44 +112,6 @@ func main() {
 		}
 		sim.DefaultRunner().RegisterMetrics(obs.Default(), "runner")
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars (pprof at /debug/pprof/, metrics at /metrics)\n", dbg.Addr())
-	}
-
-	if *intervals < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -intervals %d: must be >= 0\n", *intervals)
-		os.Exit(2)
-	}
-	if *life && *intervals > 1 {
-		fmt.Fprintln(os.Stderr, "-lifetimes requires a serial run (lifetime tracking attaches to one pipeline); drop -intervals")
-		os.Exit(2)
-	}
-	if *threads < 0 || *threads > sim.MaxThreads {
-		fmt.Fprintf(os.Stderr, "invalid -threads %d: must be in [0, %d]\n", *threads, sim.MaxThreads)
-		os.Exit(2)
-	}
-	if *ilv < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -interleave %d: must be >= 0\n", *ilv)
-		os.Exit(2)
-	}
-	if *ilv > 0 && *threads <= 1 {
-		fmt.Fprintln(os.Stderr, "-interleave requires -threads > 1")
-		os.Exit(2)
-	}
-	if *threads > 1 && *intervals > 1 {
-		fmt.Fprintln(os.Stderr, "-intervals checkpoints a single-context stream; drop it when running -threads > 1")
-		os.Exit(2)
-	}
-	if *threads > 1 && *life {
-		fmt.Fprintln(os.Stderr, "-lifetimes tracks a single-context pipeline; drop it when running -threads > 1")
-		os.Exit(2)
-	}
-	opts := sim.Options{
-		Insts:          *n,
-		Intervals:      *intervals,
-		WarmupInsts:    *warmup,
-		Threads:        *threads,
-		Interleave:     *ilv,
-		TrackLifetimes: *life,
-		TrackLive:      *life,
 	}
 
 	benches := []string{*bench}

@@ -128,12 +128,20 @@ func cmdSubmit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	specs := splitList(*schemes)
-	// Validate specs client-side for fast feedback (the server re-checks).
-	for _, spec := range specs {
-		if _, err := sim.ParseSchemeSpec(spec); err != nil {
-			return err
-		}
+	req := sim.SweepRequest{
+		Benches:    splitList(*benches),
+		Schemes:    splitList(*schemes),
+		Async:      *async,
+		DeadlineMS: deadline.Milliseconds(),
+		Timings:    *timings,
+	}
+	req.SetOptions(sim.Options{Insts: *insts, Intervals: *intervals, WarmupInsts: *warmup, Threads: *threads, Interleave: *ilv})
+	// Resolve client-side for fast feedback: the server runs the same
+	// resolve step, so a request it would refuse as malformed is never
+	// sent.
+	sw, err := req.Resolve()
+	if err != nil {
+		return err
 	}
 	// A comma-separated -server list selects fleet mode: the client
 	// scatters the sweep across the endpoints itself (consistent-hash
@@ -143,42 +151,7 @@ func cmdSubmit(args []string) error {
 		if *async {
 			return fmt.Errorf("-async is not supported with multiple -server endpoints (the client gathers synchronously)")
 		}
-		return submitFleet(servers, fleetSubmit{
-			benches:   splitList(*benches),
-			specs:     specs,
-			insts:     *insts,
-			intervals: *intervals,
-			warmup:    *warmup,
-			threads:   *threads,
-			ilv:       *ilv,
-			deadline:  *deadline,
-			timings:   *timings,
-			out:       *out,
-		})
-	}
-	req := map[string]any{
-		"benches": splitList(*benches),
-		"schemes": specs,
-		"insts":   *insts,
-		"async":   *async,
-	}
-	if *intervals > 0 {
-		req["intervals"] = *intervals
-	}
-	if *warmup > 0 {
-		req["warmup_insts"] = *warmup
-	}
-	if *threads > 0 {
-		req["threads"] = *threads
-	}
-	if *ilv > 0 {
-		req["interleave"] = *ilv
-	}
-	if *deadline > 0 {
-		req["deadline_ms"] = deadline.Milliseconds()
-	}
-	if *timings {
-		req["timings"] = true
+		return submitFleet(servers, sw, *deadline, *out)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -267,57 +240,21 @@ func postJSON(server, path string, body []byte, maxRetries int) (*http.Response,
 	}
 }
 
-// fleetSubmit carries a multi-endpoint submission's parameters.
-type fleetSubmit struct {
-	benches   []string
-	specs     []string
-	insts     uint64
-	intervals int
-	warmup    uint64
-	threads   int
-	ilv       int
-	deadline  time.Duration
-	timings   bool
-	out       string
-}
-
-// submitFleet runs a sweep against a fleet of regsimd endpoints: the
-// client itself consistent-hashes each point to its owner node, fans out
-// leaf sub-sweeps, hedges stragglers, and merges the partials into the
-// same byte-stable document any single node would have produced.
-func submitFleet(servers []string, sub fleetSubmit) error {
-	var schemes []sim.Scheme
-	for _, spec := range sub.specs {
-		sc, err := sim.ParseSchemeSpec(spec)
-		if err != nil {
-			return err
-		}
-		schemes = append(schemes, sc)
-	}
-	benches := sub.benches
-	if len(benches) == 1 && benches[0] == "all" {
-		benches = sim.Benchmarks()
-	}
+// submitFleet runs a resolved sweep against a fleet of regsimd
+// endpoints: the client itself consistent-hashes each point to its owner
+// node, fans out leaf sub-sweeps, hedges stragglers, and merges the
+// partials into the same byte-stable document any single node would have
+// produced.
+func submitFleet(servers []string, sw sim.Sweep, deadline time.Duration, out string) error {
 	co := fleet.New(fleet.Config{Endpoints: servers})
 	ctx := context.Background()
-	if sub.deadline > 0 {
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sub.deadline)
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
 	reqID := obs.NewRequestID()
-	file, err := co.Run(ctx, fleet.SweepSpec{
-		Schemes: schemes,
-		Benches: benches,
-		Opts: sim.Options{
-			Insts:       sub.insts,
-			Intervals:   sub.intervals,
-			WarmupInsts: sub.warmup,
-			Threads:     sub.threads,
-			Interleave:  sub.ilv,
-		},
-		Timings: sub.timings,
-	}, reqID)
+	file, err := co.Run(ctx, sw, reqID)
 	st := co.Stats()
 	fmt.Fprintf(os.Stderr, "regsimc: fleet %d nodes, %d partitions, %d hedges (%d won), %d points store-resolved, req %s\n",
 		len(co.Endpoints()), st.Partitions, st.Hedges, st.HedgeWins, st.PointsResolved, reqID)
@@ -328,7 +265,7 @@ func submitFleet(servers []string, sub fleetSubmit) error {
 	if err != nil {
 		return err
 	}
-	return reportResults(data, sub.out)
+	return reportResults(data, out)
 }
 
 // parseRetryAfter interprets a Retry-After header value per RFC 9110: a

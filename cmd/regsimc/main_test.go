@@ -1,14 +1,16 @@
 package main
 
-// Retry-policy tests for the submit path: 429 responses are retried with
-// the server's Retry-After hint honoured, 413 is permanent and never
-// retried, and the retry budget is finite.
+// Tests for the submit path: 429 responses are retried with the server's
+// Retry-After hint honoured, 413 is permanent and never retried, the
+// retry budget is finite, and malformed sweeps never leave the client.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -375,6 +377,53 @@ func TestShedStatus(t *testing.T) {
 	for _, c := range cases {
 		if got := shedStatus(c.code); got != c.shed {
 			t.Errorf("shedStatus(%d) = %v, want %v", c.code, got, c.shed)
+		}
+	}
+}
+
+// TestSubmitRejectsBeforeSending replays the run-contract rejection table
+// shared with internal/sim and internal/serve through regsimc submit, in
+// single-server and fleet mode: every row fails client-side with an error
+// naming its field, and no request ever reaches a server. Rows carrying
+// scheme records have no flag form and are skipped.
+func TestSubmitRejectsBeforeSending(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("server received %s %s for a request the client should have rejected", r.Method, r.URL.Path)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+
+	data, err := os.ReadFile("../../internal/sim/testdata/rejected_sweeps.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Name    string           `json:"name"`
+		Field   string           `json:"field"`
+		Request sim.SweepRequest `json:"request"`
+	}
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		req := row.Request
+		if len(req.SchemeRecords) > 0 {
+			continue
+		}
+		schemes := "use:16x2"
+		if len(req.Schemes) > 0 {
+			schemes = strings.Join(req.Schemes, ",")
+		}
+		for _, server := range []string{ts.URL, ts.URL + "," + ts.URL} {
+			err := cmdSubmit([]string{
+				"-server", server, "-benches", "gzip", "-schemes", schemes,
+				"-intervals", strconv.Itoa(req.Intervals),
+				"-threads", strconv.Itoa(req.Threads),
+				"-interleave", strconv.Itoa(req.Interleave),
+			})
+			if err == nil || !strings.Contains(err.Error(), row.Field) {
+				t.Errorf("%s via %s: error %v, want one naming %q", row.Name, server, err, row.Field)
+			}
 		}
 	}
 }

@@ -4,18 +4,12 @@ import (
 	"fmt"
 
 	"regcache/internal/core"
-	"regcache/internal/isa"
 	"regcache/internal/sim"
 	"regcache/internal/stats"
 )
 
 // fig11Sizes are the cache/L1 capacities swept in Figure 11.
 var fig11Sizes = []int{16, 24, 32, 48, 64, 96, 128}
-
-// twoLevelMinL1 is the smallest workable L1 file: the paper notes the L1
-// "must contain at least one more register than the number of architected
-// registers; in practice, an even larger number is required".
-const twoLevelMinL1 = isa.NumArchRegs + 8
 
 // Fig11 reproduces Figure 11: performance versus cache/L1 size for the
 // three caching schemes (two-way), a four-way use-based cache, and the
@@ -35,7 +29,10 @@ func Fig11(o Options) (*Report, error) {
 		{"non-bypass 2-way", func(s int) (sim.Scheme, bool) { return sim.NonBypass(s, 2, core.IndexRoundRobin), true }},
 		{"use-based 2-way", func(s int) (sim.Scheme, bool) { return sim.UseBased(s, 2, core.IndexFilteredRR), true }},
 		{"use-based 4-way", func(s int) (sim.Scheme, bool) { return sim.UseBased(s, 4, core.IndexFilteredRR), s%4 == 0 }},
-		{"two-level (+32)", func(s int) (sim.Scheme, bool) { return sim.TwoLevel(s+32, 2), s+32 >= twoLevelMinL1 }},
+		{"two-level (+32)", func(s int) (sim.Scheme, bool) {
+			sc := sim.TwoLevel(s+32, 2)
+			return sc, sim.ValidatePoint(sc, sim.Options{}) == nil // skip an L1 that cannot rename
+		}},
 	}
 	all := []sim.Scheme{sim.Monolithic(3), sim.Monolithic(1), sim.Monolithic(2)}
 	for _, size := range fig11Sizes {

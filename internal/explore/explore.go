@@ -258,8 +258,8 @@ func (sp Space) validate() error {
 			return err
 		}
 		for _, v := range sp.Threads.expand() {
-			if v > sim.MaxThreads {
-				return fmt.Errorf("axis threads: value %d exceeds the %d-context machine bound", v, sim.MaxThreads)
+			if err := (sim.Options{Threads: v}).Validate(); err != nil {
+				return fmt.Errorf("axis threads: %w", err)
 			}
 		}
 	}

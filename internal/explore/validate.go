@@ -98,8 +98,8 @@ func ValidateResult(r *Result) error {
 		if p.Cost <= 0 || p.Objective <= 0 {
 			return fmt.Errorf("point %d (%s): non-positive cost/objective", i, p.Scheme.Name)
 		}
-		if p.Threads < 0 || p.Threads > sim.MaxThreads {
-			return fmt.Errorf("point %d (%s): thread count %d outside [0, %d]", i, p.Scheme.Name, p.Threads, sim.MaxThreads)
+		if err := (sim.Options{Threads: p.Threads}).Validate(); err != nil {
+			return fmt.Errorf("point %d (%s): %w", i, p.Scheme.Name, err)
 		}
 		switch p.Status {
 		case StatusEliminated:

@@ -32,6 +32,10 @@ const clusterBody = `{"benches":["gzip","gcc","mcf","twolf"],"schemes":["use:16x
 
 const clusterPoints = 8
 
+// clusterMTBody is the same matrix at two contexts with a 4-instruction
+// fetch quantum: sub-sweeps must carry both options to their leaves.
+const clusterMTBody = `{"benches":["gzip","gcc","mcf","twolf"],"schemes":["use:16x2:filtered","mono:3"],"insts":2000,"threads":2,"interleave":4}`
+
 func clusterMatrix(t *testing.T) (benches []string, schemes []sim.Scheme, opts sim.Options) {
 	t.Helper()
 	benches = []string{"gzip", "gcc", "mcf", "twolf"}
@@ -242,21 +246,7 @@ func TestClusterByteStable(t *testing.T) {
 		t.Errorf("fleet-wide jobs run = %d, want %d (each point exactly once)", got, clusterPoints)
 	}
 
-	// Reference: one standalone server, same request, shared workload
-	// cache via its own runner (results are deterministic regardless).
-	single := serve.New(serve.Config{Workers: 2, MaxSyncPoints: 64})
-	ts := httptest.NewServer(single.Handler())
-	defer ts.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = single.Drain(ctx)
-	}()
-	status, singleBody := postSweep(t, ts.URL, clusterBody)
-	if status != http.StatusOK {
-		t.Fatalf("single-node sweep status %d: %s", status, singleBody)
-	}
-	if !bytes.Equal(fleetBody, singleBody) {
+	if singleBody := singleNodeSweep(t, clusterBody); !bytes.Equal(fleetBody, singleBody) {
 		t.Errorf("fleet document differs from single-node document:\nfleet:  %s\nsingle: %s", fleetBody, singleBody)
 	}
 
@@ -280,6 +270,59 @@ func TestClusterByteStable(t *testing.T) {
 			t.Fatalf("write fleet artifact: %v", err)
 		}
 		t.Logf("wrote fleet artifact to %s", path)
+	}
+}
+
+// singleNodeSweep answers body on one standalone server — the reference
+// a fleet document must match byte for byte (results are deterministic,
+// so its own runner and workload cache do not matter).
+func singleNodeSweep(t *testing.T, body string) []byte {
+	t.Helper()
+	single := serve.New(serve.Config{Workers: 2, MaxSyncPoints: 64})
+	ts := httptest.NewServer(single.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = single.Drain(ctx)
+	}()
+	status, data := postSweep(t, ts.URL, body)
+	if status != http.StatusOK {
+		t.Fatalf("single-node sweep status %d: %s", status, data)
+	}
+	return data
+}
+
+// TestClusterThreadsByteStable sweeps the matrix at threads 2 and
+// interleave 4 through a 3-node fleet gateway: the gathered document must
+// be byte-identical to a single node's, with each point simulated exactly
+// once fleet-wide. Leaves that dropped either option would run (and name)
+// different points, which the merge rejects.
+func TestClusterThreadsByteStable(t *testing.T) {
+	c := startCluster(t, 3, clusterOpts{})
+	benches, schemes, _ := clusterMatrix(t)
+	opts := sim.Options{Insts: 2000, Threads: 2, Interleave: 4}
+	remote := 0
+	for _, sc := range schemes {
+		for _, b := range benches {
+			if c.gateway().srv.Fleet().OwnerOf(b, sc, opts) != c.gateway().url {
+				remote++
+			}
+		}
+	}
+	if remote == 0 {
+		t.Skip("ring placed every point on the gateway for these ports; no sub-sweep to check")
+	}
+
+	status, fleetBody := postSweep(t, c.gateway().url, clusterMTBody)
+	if status != http.StatusOK {
+		t.Fatalf("fleet sweep status %d: %s", status, fleetBody)
+	}
+	if got := c.jobsRun(); got != clusterPoints {
+		t.Errorf("fleet-wide jobs run = %d, want %d (each point exactly once)", got, clusterPoints)
+	}
+	if singleBody := singleNodeSweep(t, clusterMTBody); !bytes.Equal(fleetBody, singleBody) {
+		t.Errorf("fleet document differs from single-node document:\nfleet:  %s\nsingle: %s", fleetBody, singleBody)
 	}
 }
 

@@ -55,11 +55,12 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("fleet: node busy (retry after %s)", e.RetryAfter)
 }
 
-// LocalExec executes one leaf partition in-process — the gateway's own
-// share of a sweep, with the same admission accounting a remote sub-sweep
-// would get. Return *BusyError or ErrDraining to make the coordinator
-// treat the local node exactly like a shedding or draining peer.
-type LocalExec func(ctx context.Context, benches []string, scheme sim.Scheme, o sim.Options, timings bool) (*sim.ResultsFile, error)
+// LocalExec executes one leaf partition (a one-scheme sweep) in-process —
+// the gateway's own share of a sweep, with the same admission accounting
+// a remote sub-sweep would get. Return *BusyError or ErrDraining to make
+// the coordinator treat the local node exactly like a shedding or
+// draining peer.
+type LocalExec func(ctx context.Context, part sim.Sweep) (*sim.ResultsFile, error)
 
 // Config sizes a Coordinator. Zero values select the defaults.
 type Config struct {
@@ -117,18 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// SweepSpec is a validated sweep to scatter: the same scheme-outer ×
-// bench-inner expansion a single node would execute.
-type SweepSpec struct {
-	Schemes []sim.Scheme
-	Benches []string
-	Opts    sim.Options
-	Timings bool
-}
-
-// Points returns the sweep's point count.
-func (s SweepSpec) Points() int { return len(s.Schemes) * len(s.Benches) }
 
 // Stats is a snapshot of the coordinator's counters.
 type Stats struct {
@@ -238,7 +227,7 @@ type partition struct {
 
 // expand lists the sweep's points in canonical order alongside their
 // identity strings (the merge order).
-func expand(spec SweepSpec) ([]point, []string) {
+func expand(spec sim.Sweep) ([]point, []string) {
 	pts := make([]point, 0, spec.Points())
 	order := make([]string, 0, spec.Points())
 	i := 0
@@ -286,7 +275,7 @@ func (c *Coordinator) partitionPoints(pts []point) []*partition {
 // single node would return for the same request. reqID (optional) is
 // propagated to every sub-sweep as X-Request-Id so one ID traces the
 // whole fan-out.
-func (c *Coordinator) Run(ctx context.Context, spec SweepSpec, reqID string) (*sim.ResultsFile, error) {
+func (c *Coordinator) Run(ctx context.Context, spec sim.Sweep, reqID string) (*sim.ResultsFile, error) {
 	if len(c.ring.Nodes()) == 0 {
 		return nil, errors.New("fleet: no endpoints configured")
 	}
@@ -394,7 +383,7 @@ func (c *Coordinator) recordLatency(wall time.Duration, n int) {
 // runPartition drives one partition to completion: dispatch to the owner,
 // hedge to ring successors past the straggler deadline, advance on
 // failure, first success wins and cancels the rest.
-func (c *Coordinator) runPartition(ctx context.Context, p *partition, spec SweepSpec, reqID string) (*sim.ResultsFile, error) {
+func (c *Coordinator) runPartition(ctx context.Context, p *partition, spec sim.Sweep, reqID string) (*sim.ResultsFile, error) {
 	candidates := c.ring.Successors(p.points[0].key, len(c.ring.Nodes()))
 	pctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
@@ -473,7 +462,7 @@ func (c *Coordinator) runPartition(ctx context.Context, p *partition, spec Sweep
 // re-simulate store-resident points while the owner can still serve GETs.
 // A 429 (or local BusyError) retries the same node after its Retry-After
 // hint, up to BusyRetries times.
-func (c *Coordinator) attempt(ctx context.Context, node string, p *partition, spec SweepSpec, reqID string) (*sim.ResultsFile, error) {
+func (c *Coordinator) attempt(ctx context.Context, node string, p *partition, spec sim.Sweep, reqID string) (*sim.ResultsFile, error) {
 	sp := obs.SpanFromContext(ctx)
 	asp := sp.StartChild("attempt")
 	asp.SetString("node", node)
@@ -527,7 +516,7 @@ func (c *Coordinator) attempt(ctx context.Context, node string, p *partition, sp
 // /v1/store shard with a short per-point budget, returning the resolved
 // runs and the benches still needing simulation. Any probe failure simply
 // leaves the point unresolved — the fabric degrades to re-simulation.
-func (c *Coordinator) probeOwnerStore(ctx context.Context, p *partition, spec SweepSpec) (resolved []sim.RunRecord, remaining []string) {
+func (c *Coordinator) probeOwnerStore(ctx context.Context, p *partition, spec sim.Sweep) (resolved []sim.RunRecord, remaining []string) {
 	sc := spec.Schemes[p.schemeIdx]
 	for _, pt := range p.points {
 		res, ok := c.storeGet(ctx, p.owner, pt.key)
@@ -570,33 +559,21 @@ func (c *Coordinator) storeGet(ctx context.Context, node string, key store.Key) 
 	return result, true
 }
 
-// subSweepRequest is the leaf sub-sweep body — the subset of the
-// /v1/sweep wire schema the fabric uses (full-fidelity scheme records, so
-// the leaf reconstructs exactly the scheme the gateway parsed).
-type subSweepRequest struct {
-	Benches       []string           `json:"benches"`
-	SchemeRecords []sim.SchemeRecord `json:"scheme_records"`
-	Insts         uint64             `json:"insts,omitempty"`
-	Intervals     int                `json:"intervals,omitempty"`
-	WarmupInsts   uint64             `json:"warmup_insts,omitempty"`
-	DeadlineMS    int64              `json:"deadline_ms,omitempty"`
-	Timings       bool               `json:"timings,omitempty"`
-}
-
 // dispatch executes one sub-sweep on one node: in-process for Self,
-// HTTP POST /v1/sweep (marked leaf) for everyone else.
-func (c *Coordinator) dispatch(ctx context.Context, node string, benches []string, spec SweepSpec, schemeIdx int, reqID string) (*sim.ResultsFile, error) {
+// HTTP POST /v1/sweep (marked leaf) for everyone else. The HTTP body is
+// the full /v1/sweep wire type, with the scheme as a full-fidelity record
+// so the leaf reconstructs exactly the scheme the gateway parsed.
+func (c *Coordinator) dispatch(ctx context.Context, node string, benches []string, spec sim.Sweep, schemeIdx int, reqID string) (*sim.ResultsFile, error) {
+	sc := spec.Schemes[schemeIdx]
 	if node == c.cfg.Self && c.cfg.Local != nil {
-		return c.cfg.Local(ctx, benches, spec.Schemes[schemeIdx], spec.Opts, spec.Timings)
+		return c.cfg.Local(ctx, sim.Sweep{Schemes: []sim.Scheme{sc}, Benches: benches, Opts: spec.Opts, Timings: spec.Timings})
 	}
-	body := subSweepRequest{
+	body := sim.SweepRequest{
 		Benches:       benches,
-		SchemeRecords: []sim.SchemeRecord{sim.NewSchemeRecord(spec.Schemes[schemeIdx])},
-		Insts:         spec.Opts.Insts,
-		Intervals:     spec.Opts.Intervals,
-		WarmupInsts:   spec.Opts.WarmupInsts,
+		SchemeRecords: []sim.SchemeRecord{sim.NewSchemeRecord(sc)},
 		Timings:       spec.Timings,
 	}
+	body.SetOptions(spec.Opts)
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
 			body.DeadlineMS = ms

@@ -45,7 +45,7 @@ func (n *testNode) execLeaf(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(LeafHeader) != LeafValue {
 		n.t.Errorf("node %s: sub-sweep missing %s: %s header", n.url, LeafHeader, LeafValue)
 	}
-	var req subSweepRequest
+	var req sim.SweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -59,7 +59,7 @@ func (n *testNode) execLeaf(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	o := sim.Options{Insts: req.Insts, Intervals: req.Intervals, WarmupInsts: req.WarmupInsts}
+	o := req.Options()
 	runs := make([]sim.RunRecord, 0, len(req.Benches))
 	for _, b := range req.Benches {
 		runs = append(runs, sim.NewRunRecord(b, sc, o, pipeline.Result{}))
@@ -129,7 +129,7 @@ func mustSchemes(specs ...string) []sim.Scheme {
 
 func TestCoordinatorScatterGatherCanonicalOrder(t *testing.T) {
 	nodes, co := newTestFleet(t, 3, Config{})
-	spec := SweepSpec{
+	spec := sim.Sweep{
 		Schemes: testSchemes,
 		Benches: []string{"gzip", "gcc", "mcf", "twolf"},
 		Opts:    sim.Options{Insts: 2000},
@@ -174,8 +174,8 @@ func TestCoordinatorScatterGatherCanonicalOrder(t *testing.T) {
 }
 
 // singlePointSpec returns a one-partition spec (one scheme, one bench).
-func singlePointSpec() SweepSpec {
-	return SweepSpec{
+func singlePointSpec() sim.Sweep {
+	return sim.Sweep{
 		Schemes: testSchemes[:1],
 		Benches: []string{"gzip"},
 		Opts:    sim.Options{Insts: 2000},
@@ -318,7 +318,7 @@ func TestCoordinatorPeerStoreResolvesPoints(t *testing.T) {
 		http.Error(w, `{"error":"server is draining"}`, http.StatusServiceUnavailable)
 	})
 
-	spec := SweepSpec{Schemes: []sim.Scheme{sc}, Benches: benches, Opts: opts}
+	spec := sim.Sweep{Schemes: []sim.Scheme{sc}, Benches: benches, Opts: opts}
 	file, err := co.Run(context.Background(), spec, "")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -410,7 +410,7 @@ func TestParseRetryAfterFleet(t *testing.T) {
 
 func TestCoordinatorRejectsEmptySweep(t *testing.T) {
 	_, co := newTestFleet(t, 1, Config{})
-	if _, err := co.Run(context.Background(), SweepSpec{}, ""); err == nil {
+	if _, err := co.Run(context.Background(), sim.Sweep{}, ""); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 }

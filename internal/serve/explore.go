@@ -44,7 +44,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad explore request: %v", err))
 		return
 	}
-	benches, err := resolveBenches(req.Benches)
+	benches, err := sim.ResolveBenches(req.Benches)
 	if err != nil {
 		root.SetError(err)
 		root.End()
@@ -223,11 +223,10 @@ func (s *Server) exploreEvaluator(benches []string, viaFleet bool, reqID string)
 		out := &sim.ResultsFile{SchemaVersion: sim.ResultsSchemaVersion}
 		points := 0
 		for _, tc := range counts {
-			sw := &sweep{
-				schemes: groups[tc],
-				benches: benches,
-				opts:    sim.Options{Insts: insts, Threads: tc},
-				points:  len(groups[tc]) * len(benches),
+			sw := sim.Sweep{
+				Schemes: groups[tc],
+				Benches: benches,
+				Opts:    sim.Options{Insts: insts, Threads: tc},
 			}
 			file, err := s.execSweep(ctx, sw, viaFleet, reqID)
 			if err != nil {
@@ -235,7 +234,7 @@ func (s *Server) exploreEvaluator(benches []string, viaFleet bool, reqID string)
 			}
 			out.Generator = file.Generator
 			out.Runs = append(out.Runs, file.Runs...)
-			points += sw.points
+			points += sw.Points()
 		}
 		if !viaFleet {
 			s.observeExploreRung(before, points)

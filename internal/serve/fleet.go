@@ -36,16 +36,11 @@ func (s *Server) Fleet() *fleet.Coordinator { return s.fleet }
 // execSweep routes an admitted sweep: scattered across the fleet for
 // client-facing requests on a fleet member, executed on the local backend
 // otherwise (single-node servers and leaf sub-sweeps).
-func (s *Server) execSweep(ctx context.Context, sw *sweep, viaFleet bool, reqID string) (*sim.ResultsFile, error) {
+func (s *Server) execSweep(ctx context.Context, sw sim.Sweep, viaFleet bool, reqID string) (*sim.ResultsFile, error) {
 	if !viaFleet {
 		return s.runSweep(ctx, sw)
 	}
-	return s.fleet.Run(ctx, fleet.SweepSpec{
-		Schemes: sw.schemes,
-		Benches: sw.benches,
-		Opts:    sw.opts,
-		Timings: sw.timings,
-	}, reqID)
+	return s.fleet.Run(ctx, sw, reqID)
 }
 
 // leafExec is the coordinator's in-process executor for the partitions
@@ -53,8 +48,8 @@ func (s *Server) execSweep(ctx context.Context, sw *sweep, viaFleet bool, reqID 
 // request would get, translated to the fabric's error vocabulary: a full
 // queue becomes a BusyError carrying the load-scaled Retry-After hint
 // (retry here), draining becomes ErrDraining (re-dispatch to a peer).
-func (s *Server) leafExec(ctx context.Context, benches []string, sc sim.Scheme, o sim.Options, timings bool) (*sim.ResultsFile, error) {
-	n := len(benches)
+func (s *Server) leafExec(ctx context.Context, sw sim.Sweep) (*sim.ResultsFile, error) {
+	n := sw.Points()
 	ok, draining := s.admit(n)
 	if draining {
 		return nil, fleet.ErrDraining
@@ -65,13 +60,7 @@ func (s *Server) leafExec(ctx context.Context, benches []string, sc sim.Scheme, 
 	}
 	defer s.release(n)
 	s.pointsSubmitted.Add(uint64(n))
-	return s.runSweep(ctx, &sweep{
-		schemes: []sim.Scheme{sc},
-		benches: benches,
-		opts:    o,
-		points:  n,
-		timings: timings,
-	})
+	return s.runSweep(ctx, sw)
 }
 
 // retryAfterHint scales the 429 back-off hint with queue pressure so

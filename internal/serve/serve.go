@@ -349,111 +349,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// SweepRequest is the POST /v1/sweep body. Schemes may be given as
-// compact specs (sim.ParseSchemeSpec grammar) and/or as full-fidelity
-// SchemeRecord objects copied from a results file.
-type SweepRequest struct {
-	Benches       []string           `json:"benches"`                  // benchmark names, or ["all"]
-	Schemes       []string           `json:"schemes,omitempty"`        // compact specs, e.g. "use:64x2:filtered"
-	SchemeRecords []sim.SchemeRecord `json:"scheme_records,omitempty"` // full-fidelity configurations
-	Insts         uint64             `json:"insts,omitempty"`          // per-benchmark budget; 0 = sim.DefaultInsts
-	Intervals     int                `json:"intervals,omitempty"`      // checkpointed intervals per run; 0/1 = serial semantics
-	WarmupInsts   uint64             `json:"warmup_insts,omitempty"`   // per-interval warm-up; 0 = sim default when intervals > 1
-	Threads       int                `json:"threads,omitempty"`        // workload contexts per run; 0/1 = single-context
-	Interleave    int                `json:"interleave,omitempty"`     // fetch-interleave granularity; 0 = sim default
-	Async         bool               `json:"async,omitempty"`          // force job-ID response
-	DeadlineMS    int64              `json:"deadline_ms,omitempty"`    // per-request deadline
-
-	// Timings attaches a per-point latency breakdown (schema v2 timing
-	// block) to each run. Off by default: timing varies run to run, and
-	// the default response body must stay a pure function of the request
-	// (coalesced identical sweeps return byte-identical documents).
-	Timings bool `json:"timings,omitempty"`
-}
-
-// sweep is a validated, expanded request.
-type sweep struct {
-	schemes []sim.Scheme
-	benches []string
-	opts    sim.Options
-	timeout time.Duration
-	points  int
-	timings bool
-}
-
-func (s *Server) parseSweep(req *SweepRequest) (*sweep, error) {
-	if req.Intervals < 0 {
-		return nil, errors.New("intervals must be >= 0")
-	}
-	if req.Threads < 0 || req.Threads > sim.MaxThreads {
-		return nil, fmt.Errorf("threads must be in [0, %d]", sim.MaxThreads)
-	}
-	if req.Interleave < 0 {
-		return nil, errors.New("interleave must be >= 0")
-	}
-	if req.Interleave > 0 && req.Threads <= 1 {
-		return nil, errors.New("interleave requires threads > 1")
-	}
-	// Interval checkpointing snapshots a single-context stream; the two
-	// modes are mutually exclusive rather than silently reconciled.
-	if req.Threads > 1 && req.Intervals > 1 {
-		return nil, errors.New("intervals cannot be combined with threads > 1")
-	}
-	sw := &sweep{opts: sim.Options{
-		Insts:       req.Insts,
-		Intervals:   req.Intervals,
-		WarmupInsts: req.WarmupInsts,
-		Threads:     req.Threads,
-		Interleave:  req.Interleave,
-	}}
-	for _, spec := range req.Schemes {
-		sc, err := sim.ParseSchemeSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		sw.schemes = append(sw.schemes, sc)
-	}
-	for _, rec := range req.SchemeRecords {
-		sc, err := rec.ToScheme()
-		if err != nil {
-			return nil, err
-		}
-		sw.schemes = append(sw.schemes, sc)
-	}
-	if len(sw.schemes) == 0 {
-		return nil, errors.New("sweep needs at least one scheme")
-	}
-	benches, err := resolveBenches(req.Benches)
-	if err != nil {
-		return nil, err
-	}
-	sw.benches = benches
-	sw.timeout = s.timeoutFor(req.DeadlineMS)
-	sw.points = len(sw.schemes) * len(sw.benches)
-	sw.timings = req.Timings
-	return sw, nil
-}
-
-// resolveBenches validates a request's benchmark list against the
-// built-in suite, expanding the ["all"] shorthand.
-func resolveBenches(names []string) ([]string, error) {
-	if len(names) == 1 && names[0] == "all" {
-		return sim.Benchmarks(), nil
-	}
-	known := make(map[string]bool)
-	for _, b := range sim.Benchmarks() {
-		known[b] = true
-	}
-	for _, b := range names {
-		if !known[b] {
-			return nil, fmt.Errorf("unknown benchmark %q", b)
-		}
-	}
-	if len(names) == 0 {
-		return nil, errors.New("request needs at least one benchmark")
-	}
-	return names, nil
-}
+// SweepRequest is the POST /v1/sweep body; sim owns the one definition
+// and its resolve step (sim.SweepRequest.Resolve).
+type SweepRequest = sim.SweepRequest
 
 // timeoutFor maps a client deadline_ms onto the configured default/cap.
 func (s *Server) timeoutFor(deadlineMS int64) time.Duration {
@@ -480,14 +378,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad sweep request: %v", err))
 		return
 	}
-	sw, err := s.parseSweep(&req)
+	sw, err := req.Resolve()
 	if err != nil {
 		root.SetError(err)
 		root.End()
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	root.SetInt("points", int64(sw.points))
+	points := sw.Points()
+	timeout := s.timeoutFor(req.DeadlineMS)
+	root.SetInt("points", int64(points))
 
 	// A leaf request is a sub-sweep dispatched by a peer gateway (or a
 	// multi-endpoint client): it executes locally and synchronously, never
@@ -497,7 +397,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// so Drain waits for the gather.
 	leaf := isLeaf(r)
 	viaFleet := s.fleetEnabled() && !leaf
-	admitPoints := sw.points
+	admitPoints := points
 	capacity := s.cfg.MaxQueuedPoints
 	if viaFleet {
 		admitPoints = 0
@@ -510,15 +410,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// can never be admitted, even on an idle server — answer 413 (no
 	// Retry-After) rather than a 429 that well-behaved clients would retry
 	// forever.
-	if sw.points > capacity {
+	if points > capacity {
 		s.rejectedTooLarge.Add(1)
 		adm.SetString("outcome", "too-large")
 		adm.End()
 		root.End()
-		s.flight.Event("shed", reqID, "sweep of %d points exceeds queue bound %d", sw.points, capacity)
+		s.flight.Event("shed", reqID, "sweep of %d points exceeds queue bound %d", points, capacity)
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("sweep of %d points exceeds the server's queue bound %d; split the request",
-				sw.points, capacity))
+				points, capacity))
 		return
 	}
 	ok, draining := s.admit(admitPoints)
@@ -528,7 +428,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			adm.SetString("outcome", "shed-drain")
 			adm.End()
 			root.End()
-			s.flight.Event("shed", reqID, "sweep of %d points rejected: draining", sw.points)
+			s.flight.Event("shed", reqID, "sweep of %d points rejected: draining", points)
 			// A drain 503 carries the same load-scaled hint as a 429 so
 			// clients and fleet peers that retry against this endpoint
 			// (e.g. behind a restarting node) pace themselves.
@@ -541,22 +441,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		adm.End()
 		root.End()
 		s.flight.Event("shed", reqID, "sweep of %d points rejected: queue full (%d queued, bound %d)",
-			sw.points, s.QueuedPoints(), s.cfg.MaxQueuedPoints)
+			points, s.QueuedPoints(), s.cfg.MaxQueuedPoints)
 		setRetryAfter(w, s.retryAfterHint())
 		httpError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("queue full: %d points queued, %d requested, bound %d",
-				s.QueuedPoints(), sw.points, s.cfg.MaxQueuedPoints))
+				s.QueuedPoints(), points, s.cfg.MaxQueuedPoints))
 		return
 	}
 	adm.SetString("outcome", "admitted")
 	adm.End()
 	s.sweepsAccepted.Add(1)
 	if !viaFleet {
-		s.pointsSubmitted.Add(uint64(sw.points))
+		s.pointsSubmitted.Add(uint64(points))
 	}
 
-	if (req.Async || sw.points > s.cfg.MaxSyncPoints) && !leaf {
-		j := s.newJob("sweep", sw.points)
+	if (req.Async || points > s.cfg.MaxSyncPoints) && !leaf {
+		j := s.newJob("sweep", points)
 		root.SetString("job", j.id)
 		root.SetBool("async", true)
 		go func() {
@@ -564,7 +464,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			// The async trace outlives the HTTP exchange: the root span
 			// stays open until the job settles, then the tree is recorded.
-			ctx, cancel := context.WithTimeout(context.Background(), sw.timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
 			jsp := root.StartChild("job")
 			file, err := s.execSweep(obs.ContextWithSpan(ctx, jsp), sw, viaFleet, reqID)
@@ -575,7 +475,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.observeSweep(time.Since(start))
 			s.finishJob(j, file, err)
 			s.logger.InfoContext(ctx, "async sweep settled",
-				"request_id", reqID, "job", j.id, "points", sw.points,
+				"request_id", reqID, "job", j.id, "points", points,
 				"elapsed_ms", float64(time.Since(start).Microseconds())/1e3,
 				"failed", err != nil)
 		}()
@@ -585,7 +485,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	defer s.release(admitPoints)
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), sw.timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	file, err := s.execSweep(obs.ContextWithSpan(ctx, root), sw, viaFleet, reqID)
 	s.observeSweep(time.Since(start))
@@ -604,8 +504,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // coalesce in the run layer) and assembles a deterministic results file:
 // identical requests produce byte-identical documents, so response bodies
 // are cache- and diff-friendly.
-func (s *Server) runSweep(ctx context.Context, sw *sweep) (*sim.ResultsFile, error) {
-	n := sw.points
+func (s *Server) runSweep(ctx context.Context, sw sim.Sweep) (*sim.ResultsFile, error) {
+	n := sw.Points()
 	sp := obs.SpanFromContext(ctx)
 	tb, timed := s.backend.(TimedBackend)
 	results := make([]pipeline.Result, n)
@@ -613,8 +513,8 @@ func (s *Server) runSweep(ctx context.Context, sw *sweep) (*sim.ResultsFile, err
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	idx := 0
-	for _, sc := range sw.schemes {
-		for _, b := range sw.benches {
+	for _, sc := range sw.Schemes {
+		for _, b := range sw.Benches {
 			i, sc, b := idx, sc, b
 			idx++
 			wg.Add(1)
@@ -625,10 +525,10 @@ func (s *Server) runSweep(ctx context.Context, sw *sweep) (*sim.ResultsFile, err
 				psp.SetString("bench", b)
 				pctx := obs.ContextWithSpan(ctx, psp)
 				if timed {
-					results[i], timings[i], errs[i] = tb.RunTimed(pctx, b, sc, sw.opts)
+					results[i], timings[i], errs[i] = tb.RunTimed(pctx, b, sc, sw.Opts)
 					psp.SetString("outcome", timings[i].Outcome)
 				} else {
-					results[i], errs[i] = s.backend.Run(pctx, b, sc, sw.opts)
+					results[i], errs[i] = s.backend.Run(pctx, b, sc, sw.Opts)
 				}
 				psp.SetError(errs[i])
 				psp.End()
@@ -640,14 +540,14 @@ func (s *Server) runSweep(ctx context.Context, sw *sweep) (*sim.ResultsFile, err
 	runs := make([]sim.RunRecord, 0, n)
 	var failed []error
 	idx = 0
-	for _, sc := range sw.schemes {
-		for _, b := range sw.benches {
+	for _, sc := range sw.Schemes {
+		for _, b := range sw.Benches {
 			if err := errs[idx]; err != nil {
 				s.pointErrors.Add(1)
 				failed = append(failed, fmt.Errorf("%s/%s: %w", sc.Name, b, err))
 			} else {
-				rec := sim.NewRunRecord(b, sc, sw.opts, results[idx])
-				if sw.timings && timed {
+				rec := sim.NewRunRecord(b, sc, sw.Opts, results[idx])
+				if sw.Timings && timed {
 					rec.Timing = sim.NewTimingRecord(timings[idx])
 				}
 				runs = append(runs, rec)

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -314,6 +315,53 @@ func TestHostileSchemeConfigsRejected(t *testing.T) {
 	be.mu.Unlock()
 	if runs != 0 {
 		t.Errorf("backend ran %d points for hostile configs, want 0", runs)
+	}
+}
+
+// TestSweepOptionRulesRejected posts the run-contract rejection table
+// shared with internal/sim and cmd/regsimc: every row is a 400 whose error
+// names the row's JSON field, and no point reaches the backend.
+func TestSweepOptionRulesRejected(t *testing.T) {
+	be := &fakeBackend{}
+	srv := New(Config{Backend: be})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	data, err := os.ReadFile("../sim/testdata/rejected_sweeps.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Name    string       `json:"name"`
+		Field   string       `json:"field"`
+		Request SweepRequest `json:"request"`
+	}
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		req := row.Request
+		req.Benches = []string{"gzip"}
+		if len(req.Schemes) == 0 && len(req.SchemeRecords) == 0 {
+			req.Schemes = []string{"use:16x2"}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postSweep(t, ts, string(body))
+		var e struct {
+			Error string `json:"error"`
+		}
+		_ = json.Unmarshal(data, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, row.Field) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q", row.Name, resp.StatusCode, e.Error, row.Field)
+		}
+	}
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if be.runs != 0 {
+		t.Errorf("backend ran %d points for rejected sweeps, want 0", be.runs)
 	}
 }
 

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"regcache/internal/core"
 )
 
 // FuzzSchemeSpec fuzzes the compact scheme-spec grammar. Any string either
@@ -73,6 +76,71 @@ func FuzzSchemeSpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(s, rt) {
 			t.Fatalf("record round-trip changed scheme %q:\n  parsed %+v\n  rebuilt %+v", spec, s, rt)
+		}
+	})
+}
+
+// FuzzOptions fuzzes the run contract. Options that Validate rejects must
+// get an error naming a SweepRequest option field (the daemon returns it
+// as a 400). Accepted options must canonicalize idempotently, hash to the
+// same store key as their canonical form, and run use:16x2 on gzip at a
+// budget of at most 2k instructions without a panic.
+func FuzzOptions(f *testing.F) {
+	f.Add(uint64(2000), 0, uint64(0), 0, 0, false)
+	f.Add(uint64(1500), 4, uint64(100), 0, 0, false)
+	f.Add(uint64(500), 1, uint64(99), 2, 0, false)
+	f.Add(uint64(2000), 0, uint64(0), 4, 16, false)
+	f.Add(uint64(2000), MaxIntervals, uint64(1)<<40, 0, 0, false)
+	f.Add(uint64(999), 1, uint64(0), 0, 0, true)
+	// Rejected: each rule once.
+	f.Add(uint64(2000), MaxIntervals+1, uint64(0), 0, 0, false)
+	f.Add(uint64(2000), -1, uint64(0), 0, 0, false)
+	f.Add(uint64(2000), 0, uint64(0), MaxThreads+1, 0, false)
+	f.Add(uint64(2000), 0, uint64(0), -2, 0, false)
+	f.Add(uint64(2000), 0, uint64(0), 2, -1, false)
+	f.Add(uint64(2000), 0, uint64(0), 1, 8, false)
+	f.Add(uint64(2000), 2, uint64(0), 2, 0, false)
+	f.Add(uint64(2000), 2, uint64(0), 0, 0, true)
+	f.Add(uint64(2000), 0, uint64(0), 3, 0, true)
+
+	// The wire names of the option fields, read off SweepRequest's tags.
+	var wireFields []string
+	req := reflect.TypeOf(SweepRequest{})
+	opts := reflect.TypeOf(Options{})
+	for i := 0; i < opts.NumField(); i++ {
+		if field, ok := req.FieldByName(opts.Field(i).Name); ok {
+			wireFields = append(wireFields, strings.Split(field.Tag.Get("json"), ",")[0])
+		}
+	}
+	s := UseBased(16, 2, core.IndexFilteredRR)
+
+	f.Fuzz(func(t *testing.T, insts uint64, intervals int, warmup uint64, threads, interleave int, track bool) {
+		o := Options{
+			Insts:          1 + insts%2000,
+			Intervals:      intervals,
+			WarmupInsts:    warmup,
+			Threads:        threads,
+			Interleave:     interleave,
+			TrackLifetimes: track,
+			TrackLive:      track,
+		}
+		if err := o.Validate(); err != nil {
+			if !slices.ContainsFunc(wireFields, func(f string) bool { return strings.Contains(err.Error(), f) }) {
+				t.Fatalf("%+v: error %q names none of the wire fields %v", o, err, wireFields)
+			}
+			return
+		}
+		c := o.withDefaults()
+		if c.withDefaults() != c {
+			t.Fatalf("%+v: canonicalizing twice gives %+v, once %+v", o, c.withDefaults(), c)
+		}
+		if Fingerprint(Job{Scheme: s, Bench: "gzip", Opts: o}) != Fingerprint(Job{Scheme: s, Bench: "gzip", Opts: c}) {
+			t.Fatalf("%+v: store key differs from its canonical form %+v", o, c)
+		}
+		// A fresh workload cache per input: checkpoint sets are cached per
+		// (budget, K, warm-up), so a shared one would grow with the corpus.
+		if _, err := ExecuteWith(NewWorkloadCache(), "gzip", s, o); err != nil {
+			t.Fatalf("%+v: accepted options failed to run: %v", o, err)
 		}
 	})
 }

@@ -495,8 +495,12 @@ func (r *Runner) decPending() {
 // The first submitter's request span (carried in ctx) traces the
 // execution: the worker opens store-lookup / simulate children under it.
 // Joiners contribute no spans — their cost is a wait, reported per
-// requester as Outcome "coalesced" by RunTimed.
+// requester as Outcome "coalesced" by RunTimed. A point failing
+// ValidatePoint is refused before it reaches the memo.
 func (r *Runner) submit(ctx context.Context, j Job) (e *memoEntry, fresh bool, err error) {
+	if err := ValidatePoint(j.Scheme, j.Opts); err != nil {
+		return nil, false, err
+	}
 	j.Opts = j.Opts.withDefaults()
 	r.mu.Lock()
 	if e, ok := r.memo[j]; ok {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"regcache/internal/core"
+	"regcache/internal/isa"
 	"regcache/internal/obs"
 	"regcache/internal/pipeline"
 	"regcache/internal/prog"
@@ -130,7 +131,9 @@ func (s Scheme) WithBacking(latency int) Scheme {
 	return s
 }
 
-// Options controls a run.
+// Options controls a run. Validate holds every rule on its fields, the
+// execution entries apply it before anything runs, and withDefaults then
+// canonicalizes valid options into the memo and store key.
 type Options struct {
 	Insts          uint64 // dynamic instructions per benchmark
 	TrackLifetimes bool
@@ -141,9 +144,9 @@ type Options struct {
 	// architectural stream, bounded warm-up error on timing counters,
 	// reported in Result.Intervals. Intervals == 1 routes through the
 	// interval executor with a single interval — bit-identical to serial,
-	// the guard mode the tests pin. <= 0 is the serial path. Lifetime/live
+	// the guard mode the tests pin. 0 is the serial path. Lifetime/live
 	// tracking needs one pipeline spanning the whole run, so those runs
-	// stay serial regardless.
+	// stay serial (K=1) or are rejected (K>1).
 	Intervals int
 	// WarmupInsts is the per-interval warm-up budget when Intervals > 1
 	// (0 selects DefaultWarmupInsts). Ignored when serial.
@@ -155,12 +158,12 @@ type Options struct {
 	// profile) interleaved over one shared physical file, register cache,
 	// and memory hierarchy. Threads <= 1 canonicalizes to 0, the classic
 	// single-context machine. Multithreaded runs are always serial:
-	// interval checkpoints capture a single-context stream, so Intervals
-	// and WarmupInsts are forced to zero.
+	// interval checkpoints capture a single-context stream, so Intervals > 1
+	// is rejected and a single interval is canonicalized away.
 	Threads int
 	// Interleave is the round-robin fetch quantum in instructions for
-	// multithreaded runs (0 selects the pipeline default, 8). Zeroed when
-	// single-context so memo and store keys stay canonical.
+	// multithreaded runs (0 selects the pipeline default, 8). Only valid
+	// with Threads > 1.
 	Interleave int
 }
 
@@ -170,6 +173,59 @@ type Options struct {
 // plane wants a hard ceiling on per-request cost; 4 contexts covers the
 // documented experiments with margin below the structural limit of 7.
 const MaxThreads = 4
+
+// MaxIntervals bounds Options.Intervals. Each interval is a pipeline
+// running concurrently with the others, so K costs K pipelines of memory
+// at once; 64 leaves room for a 64-core host.
+const MaxIntervals = 64
+
+// Validate checks every run-option rule. Errors name the SweepRequest
+// JSON field at fault, so the daemon returns them as 400s verbatim and the
+// CLIs, whose flags share the names, as usage errors.
+func (o Options) Validate() error {
+	tracking := o.TrackLifetimes || o.TrackLive
+	switch {
+	case o.Intervals < 0 || o.Intervals > MaxIntervals:
+		return fmt.Errorf("sim: intervals %d outside [0, %d]", o.Intervals, MaxIntervals)
+	case o.Threads < 0 || o.Threads > MaxThreads:
+		return fmt.Errorf("sim: threads %d outside the machine bound [0, %d]", o.Threads, MaxThreads)
+	case o.Interleave < 0:
+		return fmt.Errorf("sim: interleave %d must be >= 0", o.Interleave)
+	case o.Interleave > 0 && o.Threads <= 1:
+		return errors.New("sim: interleave requires threads > 1")
+	case o.Intervals > 1 && o.Threads > 1:
+		return errors.New("sim: intervals > 1 cannot be combined with threads > 1 (checkpoints capture one context)")
+	case o.Intervals > 1 && tracking:
+		return errors.New("sim: intervals > 1 cannot be combined with lifetime tracking (it needs one pipeline)")
+	case o.Threads > 1 && tracking:
+		return errors.New("sim: threads > 1 cannot be combined with lifetime tracking (it follows one context)")
+	}
+	return nil
+}
+
+// ValidatePoint checks one (scheme, options) point: the options' rules,
+// then the rule that needs both. The paper's two-level L1 "must contain at
+// least one more register than the number of architected registers" —
+// per hardware context, as each pins its architectural state — or it
+// never renames and the run deadlocks. Scheme.Validate stays thread-blind;
+// the execution entries and the sweep resolve step call this.
+func ValidatePoint(s Scheme, o Options) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	if s.Kind != pipeline.SchemeTwoLevel {
+		return nil
+	}
+	l1 := s.TwoLevel.L1Entries
+	if l1 == 0 {
+		l1 = twolevel.DefaultL1Entries
+	}
+	if contexts := max(1, o.Threads); l1 <= contexts*isa.NumArchRegs {
+		return fmt.Errorf("sim: scheme %q: two-level L1 of %d entries cannot rename at threads %d (it needs more than %d architected registers x %d context(s))",
+			s.Name, l1, o.Threads, isa.NumArchRegs, contexts)
+	}
+	return nil
+}
 
 // DefaultInsts is the per-benchmark instruction budget used when an
 // Options.Insts is zero. The paper simulates 2 B instructions per
@@ -260,6 +316,9 @@ func Execute(bench string, s Scheme, o Options) (pipeline.Result, error) {
 // workload cache for the pre-decoded program and (for oracle schemes) the
 // shared functional pre-pass table.
 func ExecuteWith(wc *WorkloadCache, bench string, s Scheme, o Options) (pipeline.Result, error) {
+	if err := ValidatePoint(s, o); err != nil {
+		return pipeline.Result{}, err
+	}
 	res, _, err := executeTraced(wc, bench, s, o, nil)
 	return res, err
 }
@@ -268,7 +327,7 @@ func ExecuteWith(wc *WorkloadCache, bench string, s Scheme, o Options) (pipeline
 // gains per-interval warm-up/measured child spans and a stitch span, and
 // the returned stitchNS reports the merge cost for the per-point timing
 // breakdown. A nil sp (every caller outside the service runner) is the
-// zero-overhead path.
+// zero-overhead path. The options must already have passed ValidatePoint.
 func executeTraced(wc *WorkloadCache, bench string, s Scheme, o Options, sp *obs.Span) (res pipeline.Result, stitchNS int64, err error) {
 	o = o.withDefaults()
 	if o.Intervals >= 1 && !o.TrackLifetimes && !o.TrackLive {
@@ -313,9 +372,6 @@ func executeIntervals(wc *WorkloadCache, bench string, s Scheme, o Options, sp *
 // workload artifact injected.
 func buildPipeline(wc *WorkloadCache, bench string, s Scheme, o Options) (*pipeline.Pipeline, error) {
 	if o.Threads > 1 {
-		if o.Threads > MaxThreads {
-			return nil, fmt.Errorf("sim: %d threads exceeds the limit of %d", o.Threads, MaxThreads)
-		}
 		progs := make([]*prog.Program, o.Threads)
 		for tid := range progs {
 			p, err := wc.ThreadProgram(bench, tid)
@@ -362,9 +418,13 @@ func Run(bench string, s Scheme, o Options) (pipeline.Result, error) {
 // RunPipeline builds (but does not run) a pipeline for callers that need
 // access to internal structures after the run (lifetime tracking, tracers).
 // The shared workload cache supplies the program and any oracle table.
+// Only the options are validated: building never deadlocks, so a caller
+// that goes on to run the pipeline checks ValidatePoint itself.
 func RunPipeline(bench string, s Scheme, o Options) (*pipeline.Pipeline, error) {
-	o = o.withDefaults()
-	return buildPipeline(DefaultWorkloads(), bench, s, o)
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	return buildPipeline(DefaultWorkloads(), bench, s, o.withDefaults())
 }
 
 // SuiteResult aggregates one scheme's results over a benchmark suite.

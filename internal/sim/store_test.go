@@ -88,6 +88,34 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
+// TestStoreKeysPinned pins literal store keys, so that reworking how
+// options are checked or carried cannot silently re-key a durable store.
+// The keys embed SimulatorVersion, so they also pin it at 3.
+func TestStoreKeysPinned(t *testing.T) {
+	use, err := ParseSchemeSpec("use:64x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := ParseSchemeSpec("port:16x2:p2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s    Scheme
+		o    Options
+		want string
+	}{
+		{use, Options{}, "e66091049c14df02429e731f102409d47c5997832500f13e14b02f81c4219d2f"},
+		{use, Options{Intervals: 4}, "10c28114d317c39bd1883a5e5a997f6d44569a632f59f5195a52306fca619680"},
+		{use, Options{Threads: 4}, "e6aab22f9620761bff4cbbc8a903072268fa0f5a443b9c4dbcdb18e00ab27b41"},
+		{port, Options{Threads: 2}, "ff8eb4da5f293b6a04c21ea9c2de2805a52c5f50b44ec3aa721f04afb9a29ab1"},
+	} {
+		if got := Fingerprint(Job{Scheme: tc.s, Bench: "gzip", Opts: tc.o}).String(); got != tc.want {
+			t.Errorf("%s/gzip %+v: key %s, want %s", tc.s.Name, tc.o, got, tc.want)
+		}
+	}
+}
+
 // TestRunnerWarmRestart is the store's core contract: a second runner
 // generation on the same directory replays finished jobs from disk —
 // zero simulations, identical results.

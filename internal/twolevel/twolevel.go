@@ -34,9 +34,12 @@ type Config struct {
 	RefillSlack   int // front-end cycles available to overlap recovery copies (fetch+decode)
 }
 
+// DefaultL1Entries is the L1 capacity a zero Config.L1Entries selects.
+const DefaultL1Entries = 96
+
 func (c Config) withDefaults() Config {
 	if c.L1Entries == 0 {
-		c.L1Entries = 96
+		c.L1Entries = DefaultL1Entries
 	}
 	if c.L2Latency == 0 {
 		c.L2Latency = 2
