@@ -74,3 +74,60 @@ func TestSingleContextGoldenFingerprints(t *testing.T) {
 		}
 	}
 }
+
+// pinnedPoint is one (bench, scheme spec, options) run whose serialized
+// RunRecord hash is pinned by TestPinnedRunFingerprints.
+type pinnedPoint struct {
+	bench string
+	spec  string
+	o     Options
+	want  string
+}
+
+// pinnedRunFingerprints extends the single-context goldens above to the
+// machines they do not reach: multithreaded runs (T=2, T=4), the
+// port-filtering family, oracle use tables, backing-latency overrides, the
+// 1-cycle monolithic file and one interval-parallel point. The hashes were
+// captured before the issue stage became event-driven, and no pipeline
+// optimization may move them; a deliberate timing change bumps
+// SimulatorVersion and re-pins them.
+var pinnedRunFingerprints = []pinnedPoint{
+	{"gzip", "use:64x2:filtered", Options{Insts: 20_000, Threads: 2}, "e0e7622044b38ae6b26cdfce2e4c28f8c69cac9e869dad43e413939e95c5b751"},
+	{"mcf", "use:64x2:filtered", Options{Insts: 20_000, Threads: 2}, "a32a8e3682e9bb5bc3e9ca679aa00251adae9fb0dd4d0e978d5ea1cc79128a65"},
+	{"gzip", "use:64x2:filtered", Options{Insts: 20_000, Threads: 4}, "2a150d28aa23d2257e5441d7c2a4c371c5543e35109878121984f18e441d2e9b"},
+	{"mcf", "use:64x2:filtered", Options{Insts: 20_000, Threads: 4}, "d8a881375d7bc4f7aff50481304863b24a1de4af8ee4878cc7cfbbe407e5bd8c"},
+	{"gzip", "port:16x2:p2", Options{Insts: 20_000}, "7c3db853c454c6499fc4361b317da4da6ec8761daf0641eb52211843ef4f888b"},
+	{"mcf", "port:16x2:p1", Options{Insts: 20_000}, "e496acae2940f63d2b2bfa68cf1ddfe9a27aa3eb13ff5763a2ffca846a8034c1"},
+	{"mcf", "port:64x2:p2", Options{Insts: 20_000, Threads: 4}, "ff47488c3d2ed839c67077ba96fbfcc27dd9a6ac0962ad33a6ddeb16049df1d9"},
+	{"gzip", "use:64x2:filtered:oracle", Options{Insts: 20_000}, "fbe8a292d718e2083bac6c67753e416336c9e0553fd8d5c9ddc70e47d6ddae1b"},
+	{"mcf", "lru:64x2:oracle", Options{Insts: 20_000, Threads: 2}, "f81e8d7679a9a68c77e60230abc307deb35ae160496ad7b367e5b8e8cc35fe80"},
+	{"gzip", "use:64x2:filtered:b5", Options{Insts: 20_000}, "1050f9a0cade2ad9e08ffcc76ddca79b1f12d3e52984df52e41cf46fa9832cb1"},
+	{"mcf", "nb:64x2:b4", Options{Insts: 20_000}, "18a08f942f3c48e25049cf62d8f781e3f431ec3d547df46c66c6a7ca4263e916"},
+	{"gzip", "mono:1", Options{Insts: 20_000, Threads: 2}, "363704778be2b9a7e36efbc93a8be7058b228016de777bf448f54381b2c994ca"},
+	{"mcf", "mono:3", Options{Insts: 20_000, Threads: 4}, "e66f7fdc4747caf22ba99639c3d38b40dba4efb5c993a440475fd1171aa583e2"},
+	{"gzip", "twolevel:160", Options{Insts: 20_000, Threads: 2}, "8307f8de3e0cd97baa3cbbaa43b33001da3b7708e11c29b8c20b53b79c942f66"},
+	{"gzip", "use:64x2:filtered", Options{Insts: 40_000, Intervals: 4}, "cd7ebe7356a3361f6a8c723929dbb4b900b35e0f60270345fb62d72310645efd"},
+}
+
+// TestPinnedRunFingerprints holds every pinned point to its literal
+// RunRecord hash.
+func TestPinnedRunFingerprints(t *testing.T) {
+	for _, p := range pinnedRunFingerprints {
+		sc, err := ParseSchemeSpec(p.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", p.spec, err)
+		}
+		res, err := Execute(p.bench, sc, p.o)
+		if err != nil {
+			t.Fatalf("%s/%s %+v: %v", p.bench, p.spec, p.o, err)
+		}
+		data, err := json.Marshal(NewRunRecord(p.bench, sc, p.o, res))
+		if err != nil {
+			t.Fatalf("%s/%s: marshal: %v", p.bench, p.spec, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != p.want {
+			t.Errorf("%s/%s threads=%d intervals=%d: RunRecord fingerprint %s, want %s",
+				p.bench, p.spec, p.o.Threads, p.o.Intervals, got, p.want)
+		}
+	}
+}
