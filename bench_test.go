@@ -276,26 +276,3 @@ func BenchmarkRunnerWarmStore(b *testing.B) {
 	}
 	b.ReportMetric(float64(points), "points/op")
 }
-
-// BenchmarkRunSuiteParallel measures a cold single-scheme suite per
-// iteration on a private pool — the same prefetch-then-collect pattern
-// RunSuite uses on the shared default runner (whose memo must not be
-// cleared mid-process, hence the private runner).
-func BenchmarkRunSuiteParallel(b *testing.B) {
-	o := benchOptions()
-	s := sim.UseBased(64, 2, core.IndexFilteredRR)
-	r := sim.NewRunner(0)
-	defer r.Close()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		r.Reset()
-		r.Prefetch(o.Benches, []sim.Scheme{s}, sim.Options{Insts: o.Insts})
-		for _, bench := range o.Benches {
-			if _, err := r.Run(context.Background(), bench, s, sim.Options{Insts: o.Insts}); err != nil {
-				b.Fatal(err)
-			}
-			insts += o.Insts
-		}
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
-}

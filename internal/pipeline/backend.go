@@ -32,101 +32,46 @@ func (pl *Pipeline) operandPlan(s *srcOp, issueCycle, now uint64) operandSource 
 	if p.state != uExecuting && p.state != uDone {
 		return srcUnavailable // producer not yet executing (or waiting a fill)
 	}
-	tP := p.effectiveResult(now)
-	execStart := issueCycle + 1 + uint64(pl.readLat)
-	if execStart == tP+1 {
+	bypass1, bypass2, storage := pl.valueWindows(p.effectiveResult(now))
+	switch {
+	case issueCycle == bypass1:
 		return srcBypass1
-	}
-	if execStart == tP+2 && pl.cfg.BypassStages >= 2 {
+	case issueCycle == bypass2:
 		return srcBypass2
-	}
-	// Storage window: a read may start only after the producer's write
-	// completes (register files do not forward in-flight writes — covering
-	// that gap is the bypass network's job, which is why its depth must
-	// grow with the file latency, Section 2.2). The register cache and the
-	// two-level L1 write in one cycle (during tP+1), so reads starting at
-	// tP+2 (issue >= tP+1) see the value: no scheduling hole beyond the
-	// two bypass stages. A monolithic file with latency L writes during
-	// tP+1..tP+L, so reads legally start at tP+L+1 (issue >= tP+L),
-	// leaving a 2L-2 cycle hole after the bypass window that delays any
-	// consumer that missed it.
-	switch pl.cfg.Scheme {
-	case SchemeMonolithic:
-		if issueCycle >= tP+uint64(pl.cfg.RFLatency) {
-			return srcStorage
-		}
-	default:
-		if issueCycle >= tP+1 {
-			return srcStorage
-		}
+	case issueCycle >= storage:
+		return srcStorage
 	}
 	return srcUnavailable
 }
 
-// issuable reports whether every operand of u can be obtained if it issues
-// at the current cycle (speculative wakeup: loads advertise hit timing).
-func (pl *Pipeline) issuable(u *uop) bool {
-	for i := range u.srcs {
-		if pl.operandPlan(&u.srcs[i], pl.now, pl.now) == srcUnavailable {
-			return false
-		}
+// valueWindows returns the issue cycles at which a consumer can obtain the
+// value a producer computes in cycle tP. Issue at bypass1 meets the value
+// on bypass stage 1 (execution starts at tP+1), issue at bypass2 on stage
+// 2 (bypass2 == bypass1 when the network has one stage), and the storage
+// window opens at storage and stays open. operandPlan classifies against
+// these windows and wakeBound looks for the next one, so the two cannot
+// drift apart.
+//
+// Storage window: a read may start only after the producer's write
+// completes (register files do not forward in-flight writes — covering
+// that gap is the bypass network's job, which is why its depth must grow
+// with the file latency, Section 2.2). The register cache and the
+// two-level L1 write in one cycle (during tP+1), so reads starting at tP+2
+// (issue >= tP+1) see the value: no scheduling hole beyond the two bypass
+// stages. A monolithic file with latency L writes during tP+1..tP+L, so
+// reads legally start at tP+L+1 (issue >= tP+L), leaving a 2L-2 cycle
+// hole after the bypass window that delays any consumer that missed it.
+func (pl *Pipeline) valueWindows(tP uint64) (bypass1, bypass2, storage uint64) {
+	bypass1 = tP - uint64(pl.readLat)
+	bypass2 = bypass1
+	if pl.cfg.BypassStages >= 2 {
+		bypass2++
 	}
-	return true
-}
-
-// issue selects up to IssueWidth ready instructions, oldest first, subject
-// to function-unit availability. Issue is suppressed entirely in a cycle
-// that detected a register cache miss (the paper's replay rule: everything
-// issued in the cycle after a missing instruction issues is replayed).
-func (pl *Pipeline) issue() {
-	if pl.suppressIssue {
-		pl.Stats.SuppressedIssueCycles++
-		return
+	storage = tP + 1
+	if pl.cfg.Scheme == SchemeMonolithic {
+		storage = tP + uint64(pl.cfg.RFLatency)
 	}
-	pl.fuUsed = [numFUClasses]int{}
-	issued := 0
-	for _, e := range pl.iq {
-		if issued >= pl.cfg.IssueWidth {
-			break
-		}
-		u := e.u
-		if u == nil || u.seq != e.seq || u.state != uInIQ {
-			continue // stale slot: issued, squashed, or recycled
-		}
-		cls := classOf(u.inst.Op)
-		if pl.fuUsed[cls] >= pl.fuCap[cls] {
-			continue
-		}
-		if !pl.issuable(u) {
-			continue
-		}
-		pl.fuUsed[cls]++
-		u.state = uIssued
-		u.issueCycle = pl.now
-		pl.issuedNow = append(pl.issuedNow, u)
-		if pl.tracer != nil {
-			pl.tracePipe(u, obs.StageIssue, pl.now)
-		}
-		issued++
-	}
-	pl.Stats.Issued += uint64(issued)
-	if len(pl.iq) > pl.iqCount*2+32 {
-		pl.compactIQ()
-	}
-}
-
-// compactIQ removes entries that left the window.
-func (pl *Pipeline) compactIQ() {
-	live := pl.iq[:0]
-	for _, e := range pl.iq {
-		if u := e.u; u != nil && u.seq == e.seq && (u.state == uInIQ || u.state == uIssued) {
-			live = append(live, e)
-		}
-	}
-	for i := len(live); i < len(pl.iq); i++ {
-		pl.iq[i] = uopRef{} // drop stale references
-	}
-	pl.iq = live
+	return bypass1, bypass2, storage
 }
 
 // readStage processes uops issued in the previous cycle: operands are
@@ -161,6 +106,7 @@ func (pl *Pipeline) resolveOperands(u *uop) {
 		plan[i] = pl.operandPlan(&u.srcs[i], u.issueCycle, u.missKnownAtFloor())
 		if plan[i] == srcUnavailable {
 			u.state = uInIQ // replay: reissue once the producer is really done
+			pl.flag(u)
 			pl.Stats.Replays++
 			return
 		}
@@ -352,6 +298,7 @@ func (pl *Pipeline) beginExecution(u *uop, execStart uint64) {
 	}
 	u.state = uExecuting
 	u.execStart = execStart
+	pl.wakeConsumers(u)
 	if pl.tracer != nil {
 		pl.tracePipe(u, obs.StageExecute, execStart)
 	}
@@ -557,6 +504,7 @@ func (pl *Pipeline) squash(u *uop) {
 			}
 		}
 	}
+	pl.wakeConsumers(u)
 	if u.hasDest() {
 		if pl.cache != nil {
 			pl.cache.Free(u.destPreg, pl.now)

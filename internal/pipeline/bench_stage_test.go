@@ -7,6 +7,7 @@ package pipeline
 // alongside from the instructions retired during the measured window.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,12 +16,20 @@ import (
 	"regcache/internal/prog"
 )
 
-// benchConfigs returns the scheme configurations the cycle-loop benchmarks
-// and allocation gates sweep: each register-storage kind exercises a
-// different set of hot paths (fill requests only exist behind a cache, the
-// two-level file ticks its own copy engine, the oracle consults the
-// pre-pass table at rename).
-func benchConfigs() map[string]Config {
+// benchConfig is one named machine the cycle-loop benchmarks and the
+// allocation gates run.
+type benchConfig struct {
+	name string
+	cfg  Config
+}
+
+// benchConfigs returns the machines the cycle-loop benchmarks and
+// allocation gates sweep: each register-storage kind exercises a
+// different set of hot paths (fill requests only exist behind a cache,
+// port-filtering schemes arbitrate them, the two-level file ticks its own
+// copy engine, the oracle consults the pre-pass table at rename), and the
+// four-context machine shares one window among four streams.
+func benchConfigs() []benchConfig {
 	cache := DefaultConfig()
 
 	mono := DefaultConfig()
@@ -37,13 +46,43 @@ func benchConfigs() map[string]Config {
 	lru.CacheCfg.Replace = core.ReplaceLRU
 	lru.CacheCfg.Index = core.IndexRoundRobin
 
-	return map[string]Config{
-		"use-cache": cache,
-		"lru-cache": lru,
-		"mono":      mono,
-		"twolevel":  two,
-		"oracle":    oracle,
+	// The explore-mt machines: 32x2 use-based caches with two backing-file
+	// read ports, at one and four contexts.
+	port := DefaultConfig()
+	port.CacheCfg.Entries = 32
+	port.ReadPorts = 2
+
+	portT4 := port
+	portT4.Threads = 4
+
+	return []benchConfig{
+		{"use-cache", cache},
+		{"lru-cache", lru},
+		{"mono", mono},
+		{"twolevel", two},
+		{"oracle", oracle},
+		{"port", port},
+		{"port-t4", portT4},
 	}
+}
+
+// newBenchPipeline builds a pipeline running the named benchmark on every
+// context of cfg (contexts past the first run context-salted
+// regenerations of its profile, as multithreaded sweeps do).
+func newBenchPipeline(tb testing.TB, cfg Config, bench string) *Pipeline {
+	tb.Helper()
+	prof, ok := prog.ProfileByName(bench)
+	if !ok {
+		tb.Fatalf("unknown benchmark %q", bench)
+	}
+	if cfg.Threads <= 1 {
+		return New(cfg, prog.MustGenerate(prof))
+	}
+	progs := make([]*prog.Program, cfg.Threads)
+	for tid := range progs {
+		progs[tid] = prog.MustGenerate(prog.ThreadProfile(prof, tid))
+	}
+	return NewMulti(cfg, progs)
 }
 
 // warmPipeline builds a pipeline on the given benchmark and runs it past
@@ -51,77 +90,94 @@ func benchConfigs() map[string]Config {
 // caches and predictors warm.
 func warmPipeline(tb testing.TB, cfg Config, bench string, warmInsts uint64) *Pipeline {
 	tb.Helper()
-	prof, ok := prog.ProfileByName(bench)
-	if !ok {
-		tb.Fatalf("unknown benchmark %q", bench)
-	}
-	pl := New(cfg, prog.MustGenerate(prof))
+	pl := newBenchPipeline(tb, cfg, bench)
 	pl.Run(warmInsts)
 	return pl
 }
 
-// BenchmarkCycleSteadyState measures the warmed cycle loop per scheme.
-// ns/op is ns per simulated cycle and allocs/op is allocations per cycle
-// (the gate below pins it to zero).
+// BenchmarkCycleSteadyState measures the warmed cycle loop per machine on
+// a light (gzip) and a memory-bound (mcf) benchmark. ns/op is ns per
+// simulated cycle and allocs/op is allocations per cycle (the gate below
+// pins it to zero).
 func BenchmarkCycleSteadyState(b *testing.B) {
-	for name, cfg := range benchConfigs() {
-		b.Run(name, func(b *testing.B) {
-			pl := warmPipeline(b, cfg, "gzip", 10_000)
-			startRetired := pl.Stats.Retired
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pl.Cycle()
-			}
-			b.StopTimer()
-			retired := pl.Stats.Retired - startRetired
-			b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "sim-insts/s")
-		})
+	for _, bench := range []string{"gzip", "mcf"} {
+		for _, bc := range benchConfigs() {
+			b.Run(bench+"/"+bc.name, func(b *testing.B) {
+				pl := warmPipeline(b, bc.cfg, bench, 10_000)
+				startRetired := pl.Stats.Retired
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pl.Cycle()
+				}
+				b.StopTimer()
+				retired := pl.Stats.Retired - startRetired
+				b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "sim-insts/s")
+			})
+		}
 	}
 }
 
-// BenchmarkStageBreakdown attributes cycle time to the individual pipeline
-// stages: it advances the machine exactly as Cycle does (keep the stage
-// sequence in sync with Pipeline.Cycle) but brackets each stage with a
-// timestamp, reporting per-stage ns/cycle metrics. Stage cost shares guide
-// optimization; the absolute per-stage numbers carry the timestamping
-// overhead (~tens of ns), which cancels out of comparisons across runs.
+// timedCycle advances the machine one cycle exactly as Cycle does, adding
+// each stage's wall time to spent.
+func timedCycle(pl *Pipeline, spent *[len(cycleStages)]time.Duration) {
+	pl.startCycle()
+	t := time.Now()
+	for i := range cycleStages {
+		cycleStages[i].run(pl)
+		now := time.Now()
+		spent[i] += now.Sub(t)
+		t = now
+	}
+}
+
+// BenchmarkStageBreakdown attributes cycle time to the pipeline stages of
+// cycleStages, reporting per-stage ns/cycle metrics. Stage cost shares
+// guide optimization; the absolute per-stage numbers carry the
+// timestamping overhead (~tens of ns), which cancels out of comparisons
+// across runs.
 func BenchmarkStageBreakdown(b *testing.B) {
 	pl := warmPipeline(b, DefaultConfig(), "gzip", 10_000)
-	stages := [7]time.Duration{}
-	names := [7]string{"retire", "fills", "completions", "read", "dispatch", "issue", "fetch"}
+	var spent [len(cycleStages)]time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.now++
-		pl.suppressIssue = false
-		t0 := time.Now()
-		pl.retire()
-		t1 := time.Now()
-		pl.processFills()
-		t2 := time.Now()
-		pl.processCompletions()
-		t3 := time.Now()
-		pl.readStage()
-		t4 := time.Now()
-		pl.dispatch()
-		t5 := time.Now()
-		pl.issue()
-		t6 := time.Now()
-		pl.fetch()
-		t7 := time.Now()
-		pl.Stats.Cycles = pl.now
-		stages[0] += t1.Sub(t0)
-		stages[1] += t2.Sub(t1)
-		stages[2] += t3.Sub(t2)
-		stages[3] += t4.Sub(t3)
-		stages[4] += t5.Sub(t4)
-		stages[5] += t6.Sub(t5)
-		stages[6] += t7.Sub(t6)
+		timedCycle(pl, &spent)
 	}
 	b.StopTimer()
-	for i, n := range names {
-		b.ReportMetric(float64(stages[i].Nanoseconds())/float64(b.N), n+"-ns/cycle")
+	for i := range cycleStages {
+		b.ReportMetric(float64(spent[i].Nanoseconds())/float64(b.N), cycleStages[i].name+"-ns/cycle")
+	}
+}
+
+// TestStageBreakdownMatchesCycle: the timed cycle of the stage breakdown
+// leaves exactly the state Cycle does, on a port-filtering machine (whose
+// read-port grants reset every cycle) and on the two-level file (whose
+// copy engine ticks every cycle).
+func TestStageBreakdownMatchesCycle(t *testing.T) {
+	port := DefaultConfig()
+	port.CacheCfg.Entries = 16
+	port.ReadPorts = 1
+	two := DefaultConfig()
+	two.Scheme = SchemeTwoLevel
+	two.TwoLevelCfg.L1Entries = 96
+	for _, bc := range []benchConfig{{"port-p1", port}, {"twolevel", two}} {
+		t.Run(bc.name, func(t *testing.T) {
+			const cycles = 20_000
+			plain := newBenchPipeline(t, bc.cfg, "gcc")
+			timed := newBenchPipeline(t, bc.cfg, "gcc")
+			var spent [len(cycleStages)]time.Duration
+			for i := 0; i < cycles; i++ {
+				plain.Cycle()
+				timedCycle(timed, &spent)
+			}
+			if plain.Stats != timed.Stats {
+				t.Fatalf("stats differ after %d cycles:\n Cycle: %+v\n timed: %+v", cycles, plain.Stats, timed.Stats)
+			}
+			if want, got := plain.result(), timed.result(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("results differ after %d cycles:\n Cycle: %+v\n timed: %+v", cycles, want, got)
+			}
+		})
 	}
 }
 
@@ -130,9 +186,9 @@ func BenchmarkStageBreakdown(b *testing.B) {
 // scheme. A failure here means an optimization regressed the pooling or
 // scratch-reuse discipline (see DESIGN.md, performance engineering).
 func TestCycleLoopZeroAlloc(t *testing.T) {
-	for name, cfg := range benchConfigs() {
-		t.Run(name, func(t *testing.T) {
-			pl := warmPipeline(t, cfg, "gzip", 40_000)
+	for _, bc := range benchConfigs() {
+		t.Run(bc.name, func(t *testing.T) {
+			pl := warmPipeline(t, bc.cfg, "gzip", 40_000)
 			// Average over batches of cycles: a single cycle can legally hit
 			// a rare amortized growth path (undo-log compaction keeps
 			// capacity, but a deeper-than-ever speculative excursion may
@@ -145,7 +201,7 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 				}
 			})
 			if allocs > 0 {
-				t.Errorf("%s: steady-state cycle loop allocates %.2f objects per %d cycles, want 0", name, allocs, batch)
+				t.Errorf("%s: steady-state cycle loop allocates %.2f objects per %d cycles, want 0", bc.name, allocs, batch)
 			}
 		})
 	}

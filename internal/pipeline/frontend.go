@@ -106,17 +106,18 @@ func (pl *Pipeline) fetch() {
 func (pl *Pipeline) renameOne(tc *threadCtx, inst *isa.Inst) *uop {
 	pl.seq++
 	u := pl.allocUop()
-	*u = uop{
-		seq:        pl.seq,
-		tid:        tc.id,
-		inst:       inst,
-		destPreg:   -1,
-		oldPreg:    -1,
-		state:      uInFrontEnd,
-		readyAt:    pl.now + uint64(pl.cfg.FrontEndDepth),
-		bhrBefore:  tc.yags.History(),
-		pathBefore: tc.ind.Path(),
-	}
+	// Clear in place and set fields one by one: assigning a composite
+	// literal builds the large uop in a temporary and copies it over.
+	*u = uop{}
+	u.seq = pl.seq
+	u.tid = tc.id
+	u.inst = inst
+	u.destPreg, u.oldPreg = -1, -1
+	u.state = uInFrontEnd
+	u.fu = classOf(inst.Op)
+	u.readyAt = pl.now + uint64(pl.cfg.FrontEndDepth)
+	u.bhrBefore = tc.yags.History()
+	u.pathBefore = tc.ind.Path()
 	// Functional execution (execute-at-fetch, undo-logged). The recovery
 	// token is captured between the architectural step and any predicted-
 	// path redirect so that rolling back to it restores the correct-path
@@ -312,7 +313,7 @@ func (pl *Pipeline) dispatch() {
 		u.robIdx = (tc.robHead + tc.robCount) % len(tc.rob)
 		tc.rob[u.robIdx] = u
 		tc.robCount++
-		pl.iq = append(pl.iq, uopRef{u: u, seq: u.seq})
+		pl.enterWindow(u)
 		pl.iqCount++
 		if pl.tracer != nil {
 			pl.tracePipe(u, obs.StageDispatch, pl.now)

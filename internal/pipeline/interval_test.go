@@ -100,8 +100,9 @@ func TestCaptureCheckpointsAlignment(t *testing.T) {
 // TestRunIntervalsK1BitIdentical pins the guard mode: one interval with no
 // warm-up must be the serial run, bit for bit, for every scheme kind.
 func TestRunIntervalsK1BitIdentical(t *testing.T) {
-	for name, cfg := range benchConfigs() {
-		t.Run(name, func(t *testing.T) {
+	for _, bc := range intervalConfigs() {
+		cfg := bc.cfg
+		t.Run(bc.name, func(t *testing.T) {
 			p := prog.MustGenerate(mustProfile(t, "gzip"))
 			serial := New(cfg, p).Run(20_000)
 			interval := RunIntervals(cfg, p, 20_000, IntervalOptions{K: 1})
@@ -119,8 +120,9 @@ func TestRunIntervalsK1BitIdentical(t *testing.T) {
 // function of its inputs: two identical invocations (including freshly
 // captured checkpoints) must agree exactly.
 func TestRunIntervalsDeterministic(t *testing.T) {
-	for name, cfg := range benchConfigs() {
-		t.Run(name, func(t *testing.T) {
+	for _, bc := range intervalConfigs() {
+		cfg := bc.cfg
+		t.Run(bc.name, func(t *testing.T) {
 			p := prog.MustGenerate(mustProfile(t, "gzip"))
 			o := IntervalOptions{K: 4, Warmup: 2_000}
 			a := RunIntervals(cfg, p, 20_000, o)
@@ -201,9 +203,9 @@ func TestStatsSubAddRoundTrip(t *testing.T) {
 func TestCycleLoopZeroAllocInterval(t *testing.T) {
 	p := prog.MustGenerate(mustProfile(t, "gzip"))
 	cks := CaptureCheckpoints(p, []uint64{30_000}, memsys.Config{})
-	for name, cfg := range benchConfigs() {
-		t.Run(name, func(t *testing.T) {
-			pl := NewAt(cfg, p, cks[0])
+	for _, bc := range intervalConfigs() {
+		t.Run(bc.name, func(t *testing.T) {
+			pl := NewAt(bc.cfg, p, cks[0])
 			pl.Run(40_000) // warm past the checkpoint transient, as the serial gate does
 			const batch = 2000
 			allocs := testing.AllocsPerRun(5, func() {
@@ -212,10 +214,22 @@ func TestCycleLoopZeroAllocInterval(t *testing.T) {
 				}
 			})
 			if allocs > 0 {
-				t.Errorf("%s: checkpointed cycle loop allocates %.2f objects per %d cycles, want 0", name, allocs, batch)
+				t.Errorf("%s: checkpointed cycle loop allocates %.2f objects per %d cycles, want 0", bc.name, allocs, batch)
 			}
 		})
 	}
+}
+
+// intervalConfigs is benchConfigs without the multithreaded machines:
+// checkpoints capture one context, so multithreaded runs are serial.
+func intervalConfigs() []benchConfig {
+	var out []benchConfig
+	for _, bc := range benchConfigs() {
+		if bc.cfg.Threads <= 1 {
+			out = append(out, bc)
+		}
+	}
+	return out
 }
 
 func mustProfile(t *testing.T, name string) prog.Profile {

@@ -15,7 +15,7 @@ import (
 )
 
 // fuClass indexes the function-unit pools.
-type fuClass int
+type fuClass uint8
 
 const (
 	fuIALU fuClass = iota
@@ -126,6 +126,15 @@ type Pipeline struct {
 	// a recycled uop must not be revived through its stale slot.
 	iq      []uopRef
 	iqCount int
+
+	// Event-driven select (select.go): bit i of ready flags iq[i] for
+	// evaluation; waiting entries park on a producer's list or in the
+	// timed-wake wheel, both threaded through the nodes slab.
+	ready    []uint64
+	nodes    []parkNode // index 0 is the nil sentinel
+	nodeFree int32      // head of the free node list
+	wakeAt   []int32    // timed-wake bucket heads, indexed by cycle & wakeMask
+	wakeMask uint64
 
 	frontq    []*uop
 	frontqBuf []*uop // backing array for frontq (reused to avoid churn)
@@ -260,6 +269,7 @@ func newPipeline(cfg Config, progs []*prog.Program, execs []*prog.Exec) *Pipelin
 		fills:     newTimingWheel[*fillReq](wheelHorizon, 4),
 		missQ:     make([]*fillReq, cfg.NumPRegs),
 	}
+	pl.initSelect()
 	pl.fuCap = [numFUClasses]int{cfg.IntALU, cfg.BranchUnits, cfg.IntMul, cfg.FPALU, cfg.FPMulDiv, cfg.LoadUnits, cfg.StoreUnits}
 	if cfg.TrackLifetimes || cfg.TrackLiveCounts {
 		pl.life = regfile.NewLifetimes(cfg.NumPRegs, cfg.TrackLiveCounts)
@@ -429,27 +439,49 @@ func (pl *Pipeline) RunWindowSpans(warmup, measure uint64, sp *obs.Span) Result 
 	return pl.windowResult(snap)
 }
 
+// cycleStage is one named step of the clock cycle.
+type cycleStage struct {
+	name string
+	run  func(*Pipeline)
+}
+
+// cycleStages is the order in which a clock cycle runs the stages. Cycle
+// walks it, and so does the per-stage benchmark, so the two cannot drift
+// apart. Fills and the read stage start executions, waking the consumers
+// parked on them, before select: a producer that enters execution this
+// cycle can feed a consumer selected this cycle through bypass stage 1.
+var cycleStages = [...]cycleStage{
+	{"retire", (*Pipeline).retire},
+	{"ports", (*Pipeline).grantPorts},
+	{"fills", (*Pipeline).processFills},
+	{"completions", (*Pipeline).processCompletions},
+	{"read", (*Pipeline).readStage},
+	{"dispatch", (*Pipeline).dispatch},
+	{"issue", (*Pipeline).issue},
+	{"fetch", (*Pipeline).fetch},
+	{"twolevel", (*Pipeline).tickTwoLevel},
+}
+
 // Cycle advances the machine by one clock.
 func (pl *Pipeline) Cycle() {
+	pl.startCycle()
+	for i := range cycleStages {
+		cycleStages[i].run(pl)
+	}
+}
+
+// startCycle advances the clock and lifts the previous cycle's issue
+// suppression.
+func (pl *Pipeline) startCycle() {
 	pl.now++
+	pl.Stats.Cycles = pl.now
 	pl.suppressIssue = false
-	pl.retire()
-	pl.grantPorts()
-	pl.processFills()
-	pl.processCompletions()
-	pl.readStage()
-	pl.dispatch()
-	pl.issue()
-	pl.fetch()
+}
+
+// tickTwoLevel advances the two-level file's copy engine by one cycle (a
+// no-op for the other schemes).
+func (pl *Pipeline) tickTwoLevel() {
 	if pl.tlf != nil {
 		pl.tlf.Tick()
 	}
-	pl.Stats.Cycles = pl.now
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -68,7 +68,10 @@ type uop struct {
 
 	// Timing.
 	state       uopState
-	readyAt     uint64 // front end: earliest dispatch cycle
+	fu          fuClass // function-unit pool, fixed at rename
+	iqPos       int32   // slot in pl.iq while in the window (compactIQ moves it)
+	parked      int32   // head of the list of consumers parked until this uop executes (0: none)
+	readyAt     uint64  // front end: earliest dispatch cycle
 	issueCycle  uint64
 	execStart   uint64
 	resultAt    uint64 // last execution cycle (result available at its end)
