@@ -134,7 +134,6 @@ type Pipeline struct {
 	nodes    []parkNode // index 0 is the nil sentinel
 	nodeFree int32      // head of the free node list
 	wakeAt   []int32    // timed-wake bucket heads, indexed by cycle & wakeMask
-	wakeMask uint64
 
 	frontq    []*uop
 	frontqBuf []*uop // backing array for frontq (reused to avoid churn)

@@ -30,6 +30,10 @@ import (
 // hold seq-guarded references; a node whose uop was squashed (and perhaps
 // recycled) is dropped when it comes due.
 
+// wakeMask indexes the timed-wake wheel, one bucket per cycle over
+// wheelHorizon cycles.
+const wakeMask = wheelHorizon - 1
+
 // parkNode is one waiting uop on a producer's park list or in a wake
 // bucket, linked to the next node by slab index (0 ends a list).
 type parkNode struct {
@@ -49,7 +53,6 @@ func (pl *Pipeline) initSelect() {
 	pl.ready = make([]uint64, 0, (slots+63)/64)
 	pl.nodes = make([]parkNode, 1, 2*pl.cfg.IQSize)
 	pl.wakeAt = make([]int32, wheelHorizon)
-	pl.wakeMask = wheelHorizon - 1
 }
 
 // issuable reports whether every operand of u can be obtained if it issues
@@ -163,8 +166,8 @@ func (pl *Pipeline) park(u *uop) {
 	}
 	// Waking early is always safe (the entry parks again), so a bound
 	// beyond the wheel's horizon is clamped to it.
-	at = min(at, pl.now+pl.wakeMask)
-	b := &pl.wakeAt[at&pl.wakeMask]
+	at = min(at, pl.now+wakeMask)
+	b := &pl.wakeAt[at&wakeMask]
 	*b = pl.newNode(u, *b)
 }
 
@@ -234,19 +237,16 @@ func (pl *Pipeline) wakeAll(head int32) {
 
 // wakeDue fires the timed wakes that come due this cycle.
 func (pl *Pipeline) wakeDue() {
-	b := &pl.wakeAt[pl.now&pl.wakeMask]
-	if head := *b; head != 0 {
-		*b = 0
-		pl.wakeAll(head)
-	}
+	b := &pl.wakeAt[pl.now&wakeMask]
+	head := *b
+	*b = 0
+	pl.wakeAll(head)
 }
 
 // wakeConsumers flags the consumers parked until u starts executing (or,
 // when u is squashed, just returns their nodes: they are younger in the
 // same context, so they were squashed with it).
 func (pl *Pipeline) wakeConsumers(u *uop) {
-	if u.parked != 0 {
-		pl.wakeAll(u.parked)
-		u.parked = 0
-	}
+	pl.wakeAll(u.parked)
+	u.parked = 0
 }
