@@ -99,7 +99,7 @@ func Sec52(o Options) (*Report, error) {
 		all = append(all, sim.UseBased(64, 2, core.IndexFilteredRR).WithBacking(lat))
 	}
 	prefetch(o, all...)
-	tb := stats.NewTable("backing latency", "speedup vs 1-cycle backing", "miss events/1k insts", "port conflicts/1k insts", "suppressed issue cycles/1k")
+	tb := stats.NewTable("backing latency", "speedup vs 1-cycle backing", "miss events/1k insts", "port-wait cycles/1k insts", "suppressed issue cycles/1k")
 	var ref *sim.SuiteResult
 	for _, lat := range []int{1, 2, 3, 4} {
 		sc := sim.UseBased(64, 2, core.IndexFilteredRR).WithBacking(lat)
@@ -118,7 +118,7 @@ func Sec52(o Options) (*Report, error) {
 		tb.AddRow(fmt.Sprint(lat),
 			fmt.Sprintf("%+.2f%%", 100*(sr.RelIPC(ref)-1)),
 			fmtF(perK(func(p pipeline.Result) uint64 { return p.Stats.RCMissEvents })),
-			fmtF(perK(func(p pipeline.Result) uint64 { return p.BackingPortConflicts })),
+			fmtF(perK(func(p pipeline.Result) uint64 { return p.Stats.PortConflictStalls })),
 			fmtF(perK(func(p pipeline.Result) uint64 { return p.Stats.SuppressedIssueCycles })))
 	}
 	r.Section(tb.String())

@@ -135,9 +135,10 @@ func (a Axis) count() int {
 // optional extra axes over the decoupled physical-register space and the
 // use-predictor saturation. Ports and Threads are optional axes over the
 // port-filtering and multithreaded-workload planes: Ports enumerates
-// backing-file read-port counts (0 = the unported legacy model, so a
-// frontier can compare filtered and unfiltered designs in one search),
-// Threads enumerates workload context counts in [1, sim.MaxThreads].
+// backing-file read-port counts (0 = the default single port, which
+// simulates and costs what 1 does but keeps the paper's unsuffixed
+// scheme name), Threads enumerates workload context counts in
+// [1, sim.MaxThreads].
 type Space struct {
 	Entries Axis     `json:"entries"`
 	Ways    Axis     `json:"ways"`
@@ -146,7 +147,7 @@ type Space struct {
 
 	MaxPRegs *Axis `json:"max_pregs,omitempty"` // decoupled PReg space sizes
 	MaxUse   *Axis `json:"max_use,omitempty"`   // use-counter saturation values
-	Ports    *Axis `json:"ports,omitempty"`     // backing read-port counts; 0 = unported
+	Ports    *Axis `json:"ports,omitempty"`     // backing read-port counts; 0 = the default single port
 	Threads  *Axis `json:"threads,omitempty"`   // workload context counts
 }
 
@@ -357,7 +358,7 @@ func (s Spec) Candidates() (cands []Candidate, skipped int, err error) {
 	if s.Space.MaxUse != nil {
 		uses = s.Space.MaxUse.expand()
 	}
-	ports := []int{0} // 0: unported legacy backing file
+	ports := []int{0} // 0: the default single backing read port
 	if s.Space.Ports != nil {
 		ports = s.Space.Ports.expand()
 	}
@@ -385,8 +386,8 @@ func (s Spec) Candidates() (cands []Candidate, skipped int, err error) {
 										sc.Name = fmt.Sprintf("%s-u%d", sc.Name, mu)
 									}
 									// Port 0 stays unsuffixed: it is the
-									// legacy model, distinct by name from
-									// every -pN filtered variant. (A live
+									// default single port, named like the
+									// paper's design points. (A live
 									// MaxPRegs -pN suffix cannot collide: its
 									// values validate only at >= the machine
 									// register count, far above MaxReadPorts.)

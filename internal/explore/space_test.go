@@ -199,7 +199,7 @@ func TestPortsAndThreadsAxes(t *testing.T) {
 	for _, c := range cands {
 		byName[c.Scheme.Name] = c
 	}
-	// Port 0 keeps the unsuffixed legacy name; thread counts always
+	// Port 0 keeps the unsuffixed default name; thread counts always
 	// suffix when the axis is present (including the T=1 baseline).
 	for name, want := range map[string]struct {
 		ports, threads int
@@ -259,14 +259,18 @@ func TestCostModel(t *testing.T) {
 	if Cost(wide) <= cs {
 		t.Error("larger MaxPRegs did not increase cost")
 	}
-	// A port-filtering scheme is charged its literal backing read-port
-	// count: below the P/8 default it is cheaper than the unported
-	// baseline, and cost grows monotonically in ports.
-	p2, p4 := small[0].Scheme.WithPorts(2), small[0].Scheme.WithPorts(4)
-	if Cost(p2) >= cs {
-		t.Errorf("2-port backing (%v) not cheaper than unported (%v)", Cost(p2), cs)
+	// The backing file is charged the read ports the pipeline simulates:
+	// an unported scheme has one, so it costs exactly what its p1 twin
+	// costs, and cost rises with every added port.
+	if p1 := Cost(small[0].Scheme.WithPorts(1)); p1 != cs {
+		t.Errorf("unported cost %v != 1-port cost %v: both simulate one backing read port", cs, p1)
 	}
-	if Cost(p4) <= Cost(p2) {
-		t.Errorf("cost not increasing in ports: %v vs %v", Cost(p2), Cost(p4))
+	prev := cs
+	for _, n := range []int{2, 4, 8, 16} {
+		c := Cost(small[0].Scheme.WithPorts(n))
+		if c <= prev {
+			t.Errorf("cost not increasing in ports: %d ports cost %v, fewer cost %v", n, c, prev)
+		}
+		prev = c
 	}
 }

@@ -189,78 +189,29 @@ func (pl *Pipeline) resolveOperands(u *uop) {
 // replay), so validation always uses real times.
 func (u *uop) missKnownAtFloor() uint64 { return ^uint64(0) }
 
-// requestFill queues a backing-file read for the missed operand, merging
-// with an outstanding fill of the same register. Under the legacy model
-// (ReadPorts == 0) the backing file itself serializes its single port;
-// port-filtering schemes (ReadPorts > 0) arbitrate explicitly here — up
-// to ReadPorts fills start per cycle, the rest queue and charge
-// port-conflict stalls until granted.
+// requestFill requests a backing-file read for the missed operand, merging
+// with an outstanding fill of the same register. The backing file grants
+// its read ports in arrival order (regfile.BackingFile.Read), so the fill
+// is scheduled at request time; the cycles the request waited for a port
+// are charged to the machine and to u's context.
 func (pl *Pipeline) requestFill(u *uop, s *srcOp) {
 	if req := pl.missQ[s.preg]; req != nil {
 		req.addWaiter(u)
 		return
 	}
 	req := pl.allocFillReq()
-	req.preg, req.set, req.tid = s.preg, s.set, u.tid
+	req.preg, req.set = s.preg, s.set
 	req.addWaiter(u)
 	pl.missQ[s.preg] = req
-	if pl.cfg.ReadPorts > 0 {
-		if pl.portUsed < pl.cfg.ReadPorts {
-			pl.startPortedRead(req)
-		} else {
-			pl.portQ = append(pl.portQ, req)
-			pl.notePortStall(req, u)
+	ready, waited := pl.backing.Read(s.preg, pl.now)
+	if waited > 0 {
+		pl.Stats.PortConflictStalls += waited
+		pl.threads[u.tid].stats.PortConflictStalls += waited
+		if pl.tracer != nil {
+			pl.tracePipe(u, obs.StagePortStall, pl.now)
 		}
-		return
 	}
-	ready := pl.backing.Read(s.preg, pl.now)
-	req.readyAt = ready
 	pl.fills.schedule(pl.now, ready, req)
-}
-
-// startPortedRead consumes one of this cycle's read-port grants for req.
-func (pl *Pipeline) startPortedRead(req *fillReq) {
-	pl.portUsed++
-	ready := pl.backing.ReadPorted(req.preg, pl.now)
-	req.readyAt = ready
-	pl.fills.schedule(pl.now, ready, req)
-}
-
-// notePortStall charges one queued cycle to req (port-filtering schemes):
-// the machine-level counter, the owning context's counter, and — when
-// tracing and the deferral just happened at u's read stage — a stall event.
-func (pl *Pipeline) notePortStall(req *fillReq, u *uop) {
-	pl.Stats.PortConflictStalls++
-	pl.threads[req.tid].stats.PortConflictStalls++
-	if u != nil && pl.tracer != nil {
-		pl.tracePipe(u, obs.StagePortStall, pl.now)
-	}
-}
-
-// grantPorts starts queued backing-file reads at the top of the cycle, up
-// to the port-filtering scheme's read-port count; requests still queued
-// after the grants accumulate another stalled cycle each. A no-op (one
-// branch) for every other scheme.
-func (pl *Pipeline) grantPorts() {
-	pl.portUsed = 0
-	if len(pl.portQ) == 0 {
-		return
-	}
-	n := 0
-	for n < len(pl.portQ) && pl.portUsed < pl.cfg.ReadPorts {
-		pl.startPortedRead(pl.portQ[n])
-		n++
-	}
-	if n > 0 {
-		m := copy(pl.portQ, pl.portQ[n:])
-		for i := m; i < len(pl.portQ); i++ {
-			pl.portQ[i] = nil
-		}
-		pl.portQ = pl.portQ[:m]
-	}
-	for _, req := range pl.portQ {
-		pl.notePortStall(req, nil)
-	}
 }
 
 // processFills completes backing-file reads whose data arrives this cycle:

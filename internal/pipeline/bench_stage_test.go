@@ -151,9 +151,9 @@ func BenchmarkStageBreakdown(b *testing.B) {
 }
 
 // TestStageBreakdownMatchesCycle: the timed cycle of the stage breakdown
-// leaves exactly the state Cycle does, on a port-filtering machine (whose
-// read-port grants reset every cycle) and on the two-level file (whose
-// copy engine ticks every cycle).
+// leaves exactly the state Cycle does, on a small cache behind one
+// backing read port (whose fills queue for the port) and on the two-level
+// file (whose copy engine ticks every cycle).
 func TestStageBreakdownMatchesCycle(t *testing.T) {
 	port := DefaultConfig()
 	port.CacheCfg.Entries = 16

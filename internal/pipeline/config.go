@@ -84,11 +84,10 @@ type Config struct {
 	CacheCfg       core.Config
 	TwoLevelCfg    twolevel.Config
 
-	// ReadPorts enables the port-filtering scheme family (cache scheme
-	// only): the backing register file exposes this many read ports per
-	// cycle and fills beyond that arbitrate through a queue, charging
-	// port-conflict stalls. 0 keeps the legacy single-serialized-port
-	// model (bit-identical to the pre-port pipeline).
+	// ReadPorts is the backing register file's read-port count (cache
+	// scheme only). Fills take the ports in arrival order, and the cycles
+	// they wait for one are charged as port-conflict stalls. 0 is the
+	// default single port of the paper's machine (Section 5.2).
 	ReadPorts int
 
 	// Memory system.

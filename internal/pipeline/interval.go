@@ -323,7 +323,6 @@ func MergeResults(parts []Result) Result {
 		m.Cache = m.Cache.Merge(p.Cache)
 		m.BackingReads += p.BackingReads
 		m.BackingWrites += p.BackingWrites
-		m.BackingPortConflicts += p.BackingPortConflicts
 		m.TLMigrations += p.TLMigrations
 		m.TLRecoveryStalls += p.TLRecoveryStalls
 		m.TLRenameStalls += p.TLRenameStalls

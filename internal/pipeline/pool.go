@@ -83,9 +83,10 @@ const uopBlockSize = 1024
 
 // prewarmFillPool stocks the fill-request free list up front: n requests
 // with waiterCap-capacity waiter slices carved from two bulk allocations.
-// Peak outstanding fills are bounded by the backing file's port queue, so
-// a modest pool covers steady state and allocFillReq's fallback (plus
-// waiter-slice regrowth, both retained on recycle) absorbs the exceptions.
+// Outstanding fills are bounded by the misses in flight (at most one per
+// physical register), so a modest pool covers steady state and
+// allocFillReq's fallback (plus waiter-slice regrowth, both retained on
+// recycle) absorbs the exceptions.
 func (pl *Pipeline) prewarmFillPool(n, waiterCap int) {
 	reqs := make([]fillReq, n)
 	backing := make([]uopRef, n*waiterCap)

@@ -43,9 +43,8 @@ type Stats struct {
 	ICacheStallCycles uint64
 	FetchLostCycles   uint64
 
-	// PortConflictStalls counts fill-request cycles spent queued for a
-	// backing-file read port (port-filtering schemes only; always zero
-	// when Config.ReadPorts == 0).
+	// PortConflictStalls counts request-cycles that backing-file reads
+	// waited for a read port, charged when the read is requested.
 	PortConflictStalls uint64
 
 	RFWrites uint64 // two-level scheme writeback count
@@ -158,9 +157,8 @@ type Result struct {
 	UsePredCorrect uint64
 
 	// Backing file behaviour.
-	BackingReads         uint64
-	BackingWrites        uint64
-	BackingPortConflicts uint64
+	BackingReads  uint64
+	BackingWrites uint64
 
 	// Two-level file behaviour.
 	TLMigrations     uint64
@@ -184,7 +182,7 @@ type windowSnap struct {
 	cache   core.Stats
 	threads []ThreadStats
 
-	backingReads, backingWrites, backingConflicts  uint64
+	backingReads, backingWrites                    uint64
 	monoReads, monoWrites                          uint64
 	tlMigrations, tlRecoveryStalls, tlRenameStalls uint64
 	upLookups, upHits, upTrains, upCorrect         uint64
@@ -205,7 +203,7 @@ func (pl *Pipeline) snapshotWindow() windowSnap {
 	if pl.cache != nil {
 		pl.cache.FinishSampling(pl.now)
 		s.cache = pl.cache.Stats
-		s.backingReads, s.backingWrites, s.backingConflicts = pl.backing.Reads, pl.backing.Writes, pl.backing.PortConflicts
+		s.backingReads, s.backingWrites = pl.backing.Reads, pl.backing.Writes
 	}
 	if pl.mono != nil {
 		s.monoReads, s.monoWrites = pl.mono.Reads, pl.mono.Writes
@@ -249,7 +247,6 @@ func (pl *Pipeline) windowResult(snap windowSnap) Result {
 		r.CacheWriteBW = float64(r.Cache.Writes) / cyc
 		r.BackingReads = pl.backing.Reads - snap.backingReads
 		r.BackingWrites = pl.backing.Writes - snap.backingWrites
-		r.BackingPortConflicts = pl.backing.PortConflicts - snap.backingConflicts
 		r.RFReadBW = float64(r.BackingReads) / cyc
 		r.RFWriteBW = float64(r.BackingWrites) / cyc
 	}

@@ -125,8 +125,8 @@ func TestRCMissReplayAndFill(t *testing.T) {
 	if r.Cache.Fills > r.BackingReads {
 		t.Errorf("fills (%d) exceed backing reads (%d)", r.Cache.Fills, r.BackingReads)
 	}
-	if pl.Backing().PortConflicts == 0 {
-		t.Error("a tiny cache should have produced backing port conflicts")
+	if r.Stats.PortConflictStalls == 0 {
+		t.Error("a tiny cache's misses should have waited for the single backing read port")
 	}
 }
 

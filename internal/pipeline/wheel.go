@@ -27,10 +27,14 @@ type overflowEvt[T any] struct {
 	ev T
 }
 
-// wheelHorizon is the default wheel size in cycles. It must exceed the
-// maximum schedule-ahead distance of the common machine configurations:
-// the longest is a backing-file fill behind a full port-arbitration queue
-// or an L2-miss load (~200 cycles); 1024 leaves a wide margin.
+// wheelHorizon is the default wheel size in cycles. It should exceed the
+// schedule-ahead distance of the common machine configurations: the
+// longest is an L2-miss load (~200 cycles). A fill is scheduled when it is
+// requested, behind every earlier request for the backing file's ports,
+// and missQ allows one outstanding fill per physical register, so a burst
+// of misses on a one-port file can push a fill hundreds of cycles out.
+// 1024 leaves a wide margin for the common configurations; the overflow
+// list takes any fill beyond it.
 const wheelHorizon = 1024
 
 // newTimingWheel builds a wheel with the given horizon rounded up to a

@@ -1,6 +1,7 @@
 package regfile
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -108,28 +109,127 @@ func TestMapTableRollbackProperty(t *testing.T) {
 }
 
 func TestBackingFileWriteInterlock(t *testing.T) {
-	b := NewBackingFile(2, 16)
+	b := NewBackingFile(2, 16, 1)
 	// Value finishes executing at cycle 10; its RF write completes at 12.
 	b.NoteWrite(3, 10)
-	// A read at cycle 11 must wait for the write, then take 2 cycles.
-	if got := b.Read(3, 11); got != 14 {
-		t.Fatalf("read ready at %d, want 14 (wait to 12 + 2)", got)
+	// A read at cycle 11 must wait for the write, then take 2 cycles. The
+	// interlock is not a port wait.
+	if got, waited := b.Read(3, 11); got != 14 || waited != 0 {
+		t.Fatalf("read ready at %d after %d port-wait cycles, want 14 (wait to 12 + 2) after 0", got, waited)
 	}
 	// A read of a long-written register goes immediately.
-	if got := b.Read(4, 20); got != 22 {
+	if got, _ := b.Read(4, 20); got != 22 {
 		t.Fatalf("read ready at %d, want 22", got)
 	}
 }
 
 func TestBackingFilePortArbitration(t *testing.T) {
-	b := NewBackingFile(2, 16)
-	r1 := b.Read(1, 10)
-	r2 := b.Read(2, 10) // same cycle: must be delayed by the single port
+	b := NewBackingFile(2, 16, 1)
+	r1, w1 := b.Read(1, 10)
+	r2, w2 := b.Read(2, 10) // same cycle: must be delayed by the single port
 	if r1 != 12 || r2 != 13 {
 		t.Fatalf("reads ready at %d,%d, want 12,13", r1, r2)
 	}
-	if b.PortConflicts != 1 {
-		t.Fatalf("PortConflicts = %d, want 1", b.PortConflicts)
+	if w1 != 0 || w2 != 1 {
+		t.Fatalf("port waits %d,%d, want 0,1", w1, w2)
+	}
+	if b.Reads != 2 {
+		t.Fatalf("Reads = %d, want 2", b.Reads)
+	}
+}
+
+// TestBackingFileInterlockHoldsPort: a granted read that waits for its
+// register's write keeps its port for the whole wait, so the next request
+// of the same cycle waits for the port even though its own register is
+// ready — unless a second port is free.
+func TestBackingFileInterlockHoldsPort(t *testing.T) {
+	for _, tc := range []struct {
+		ports       int
+		ready, wait uint64
+	}{
+		{1, 15, 2}, // the port frees at 13, the cycle after the interlocked start
+		{2, 13, 0}, // the second port serves it at once
+	} {
+		b := NewBackingFile(2, 16, tc.ports)
+		b.NoteWrite(3, 10) // write completes at 12
+		if got, waited := b.Read(3, 11); got != 14 || waited != 0 {
+			t.Fatalf("%d ports: interlocked read ready at %d after %d waits, want 14 after 0", tc.ports, got, waited)
+		}
+		if got, waited := b.Read(4, 11); got != tc.ready || waited != tc.wait {
+			t.Errorf("%d ports: next same-cycle read ready at %d after %d waits, want %d after %d",
+				tc.ports, got, waited, tc.ready, tc.wait)
+		}
+	}
+}
+
+// referenceGrants is the per-cycle FIFO port arbiter the backing file's
+// port rule must reproduce: at the top of each cycle the oldest queued
+// requests are granted, at most n per cycle; a request arriving in a cycle
+// with a grant left starts at once, and otherwise joins the queue. Every
+// request still queued after a cycle's grants is charged one stall cycle.
+// It returns each request's grant cycle and the summed stall cycles.
+func referenceGrants(arrivals []uint64, n int) (grants []uint64, stalls uint64) {
+	grants = make([]uint64, len(arrivals))
+	var queue []int
+	next := 0
+	for cycle := arrivals[0]; next < len(arrivals) || len(queue) > 0; cycle++ {
+		used := 0
+		for len(queue) > 0 && used < n {
+			grants[queue[0]] = cycle
+			queue = queue[1:]
+			used++
+		}
+		stalls += uint64(len(queue))
+		for ; next < len(arrivals) && arrivals[next] == cycle; next++ {
+			if used < n {
+				grants[next] = cycle
+				used++
+			} else {
+				queue = append(queue, next)
+				stalls++
+			}
+		}
+	}
+	return grants, stalls
+}
+
+// TestBackingFileMatchesFIFOReference: with every write complete before
+// its read arrives, Read grants exactly what the per-cycle FIFO arbiter
+// grants — N requests per cycle in arrival order — and charges the same
+// request-cycles of port wait, for random bursty arrival streams.
+func TestBackingFileMatchesFIFOReference(t *testing.T) {
+	const latency, npregs = 2, 64
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 4} {
+		for trial := 0; trial < 300; trial++ {
+			b := NewBackingFile(latency, npregs, n)
+			arrivals := make([]uint64, 1+rng.Intn(200))
+			now := uint64(10 + rng.Intn(10))
+			var ready []uint64
+			var waited uint64
+			for i := range arrivals {
+				if rng.Intn(3) == 0 {
+					now += uint64(rng.Intn(4))
+				}
+				arrivals[i] = now
+				p := core.PReg(rng.Intn(npregs))
+				// The write of p completes at or before now.
+				b.NoteWrite(p, now-uint64(latency)-uint64(rng.Intn(3)))
+				r, w := b.Read(p, now)
+				ready = append(ready, r)
+				waited += w
+			}
+			grants, stalls := referenceGrants(arrivals, n)
+			for i, g := range grants {
+				if ready[i] != g+latency {
+					t.Fatalf("%d ports, trial %d: request %d (arrival %d) ready at %d, reference grants %d (+%d latency)",
+						n, trial, i, arrivals[i], ready[i], g, latency)
+				}
+			}
+			if waited != stalls {
+				t.Fatalf("%d ports, trial %d: Read charged %d wait cycles, reference %d", n, trial, waited, stalls)
+			}
+		}
 	}
 }
 

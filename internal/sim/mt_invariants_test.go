@@ -1,14 +1,15 @@
 package sim
 
-// Invariants for the multithreaded workload plane and the port-filtering
-// scheme family (ISSUE 10). Like invariants_test.go these assert accounting
-// identities rather than exact counter values: per-thread counters must
-// reconcile with the machine totals, and port-conflict stalls may only
-// appear on schemes that actually configure a bounded backing read-port
-// count.
+// Invariants for the multithreaded workload plane and the backing-file
+// port model. Like invariants_test.go these assert accounting identities
+// and relations between runs rather than exact counter values: per-thread
+// counters must reconcile with the machine totals, an unported scheme is
+// the one-port machine, and enough ports never make a fill wait.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -20,13 +21,16 @@ import (
 // thousands of instructions so the per-thread counters are non-trivial.
 const mtInvariantInsts = 12_000
 
-// mtSchemes pairs an unported scheme with two port-filtered variants of
-// the same geometry. Two read ports on an 8-wide machine is starved enough
-// to force arbitration queueing on real miss traffic.
+// mtSchemes pairs two unported schemes — the paper's design point and a
+// 16-entry direct-mapped cache whose misses keep the backing file busy —
+// with two port-filtered variants of the design point. Two read ports on
+// an 8-wide machine is starved enough to make fills wait on real miss
+// traffic.
 func mtSchemes() []Scheme {
 	base := UseBased(64, 2, core.IndexFilteredRR)
 	return []Scheme{
 		base,
+		UseBased(16, 1, core.IndexFilteredRR),
 		base.WithPorts(2),
 		base.WithPorts(1),
 	}
@@ -47,7 +51,6 @@ func TestMultithreadInvariants(t *testing.T) {
 						t.Fatalf("run: %v", err)
 					}
 					checkThreadInvariants(t, threads, res)
-					checkPortInvariants(t, s, res)
 				})
 			}
 		}
@@ -106,14 +109,84 @@ func checkThreadInvariants(t *testing.T, threads int, res pipeline.Result) {
 	}
 }
 
-// checkPortInvariants asserts port-conflict stalls appear only on schemes
-// that bound the backing read-port count.
-func checkPortInvariants(t *testing.T, s Scheme, res pipeline.Result) {
-	t.Helper()
-	if s.ReadPorts == 0 && res.Stats.PortConflictStalls != 0 {
-		t.Errorf("unported scheme %s charged %d port-conflict stalls",
-			s.Name, res.Stats.PortConflictStalls)
+// portRelationRuns runs f over every unported scheme of mtSchemes at
+// T∈{1,2,4} on gzip and mcf, handing it the unported run.
+func portRelationRuns(t *testing.T, f func(t *testing.T, r *Runner, b string, s Scheme, o Options, res pipeline.Result)) {
+	r := NewRunnerWith(0, NewWorkloadCache())
+	defer r.Close()
+	for _, threads := range []int{1, 2, 4} {
+		o := Options{Insts: mtInvariantInsts, Threads: threads}
+		for _, s := range mtSchemes() {
+			if s.ReadPorts != 0 {
+				continue
+			}
+			for _, b := range []string{"gzip", "mcf"} {
+				t.Run(fmt.Sprintf("t%d/%s/%s", threads, s.Name, b), func(t *testing.T) {
+					res, err := r.Run(context.Background(), b, s, o)
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					f(t, r, b, s, o, res)
+				})
+			}
+		}
 	}
+}
+
+// TestUnportedIsOnePort: the backing file has one port model. An unported
+// scheme and its WithPorts(1) twin give RunRecords that are equal in every
+// field apart from the scheme's name and read_ports.
+func TestUnportedIsOnePort(t *testing.T) {
+	portRelationRuns(t, func(t *testing.T, r *Runner, b string, s Scheme, o Options, res pipeline.Result) {
+		twin := s.WithPorts(1)
+		twinRes, err := r.Run(context.Background(), b, twin, o)
+		if err != nil {
+			t.Fatalf("run %s: %v", twin.Name, err)
+		}
+		if res.Stats.PortConflictStalls == 0 && s.Cache.Entries == 16 {
+			t.Errorf("%s never waited for its single backing read port", s.Name)
+		}
+		rec := NewRunRecord(b, s, o, res)
+		twinRec := NewRunRecord(b, twin, o, twinRes)
+		twinRec.Scheme.Name, twinRec.Scheme.ReadPorts = rec.Scheme.Name, rec.Scheme.ReadPorts
+		got, err := json.Marshal(twinRec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s and %s differ beyond name and read_ports:\n unported %s\n one-port %s", s.Name, twin.Name, want, got)
+		}
+	})
+}
+
+// TestWidePortsNeverWait: an 8-wide machine requests at most two fills per
+// issued uop, so 2×IssueWidth backing read ports never make a fill wait at
+// the default backing latency (whose write interlock never binds) — for
+// the machine and for every context.
+func TestWidePortsNeverWait(t *testing.T) {
+	ports := 2 * pipeline.DefaultConfig().IssueWidth
+	portRelationRuns(t, func(t *testing.T, r *Runner, b string, s Scheme, o Options, _ pipeline.Result) {
+		wide := s.WithPorts(ports)
+		res, err := r.Run(context.Background(), b, wide, o)
+		if err != nil {
+			t.Fatalf("run %s: %v", wide.Name, err)
+		}
+		if res.Stats.PortConflictStalls != 0 {
+			t.Errorf("%s charged %d port-conflict stalls", wide.Name, res.Stats.PortConflictStalls)
+		}
+		for _, ts := range res.Threads {
+			if ts.PortConflictStalls != 0 {
+				t.Errorf("%s thread %d charged %d port-conflict stalls", wide.Name, ts.Thread, ts.PortConflictStalls)
+			}
+		}
+		if res.BackingReads == 0 {
+			t.Errorf("%s never read the backing file: the relation is vacuous", wide.Name)
+		}
+	})
 }
 
 // TestPortStarvationStalls pins down that a starved port configuration

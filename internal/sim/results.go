@@ -30,9 +30,10 @@ import (
 // SchemeRecord gains read_ports; RunRecord gains threads (the requested
 // context count), a per-context thread_stats block, and the
 // port_conflict_stalls counter. All additions are omitempty, so a
-// single-context run of a portless scheme serializes byte-identically to
-// v2 (the golden-fingerprint guard pins this); ReadResults accepts any
-// version in [1, current].
+// single-context monolithic or two-level run serializes byte-identically
+// to v2 (the golden-fingerprint guard pins this). Since simulator version
+// 4 every cache run counts port-conflict stalls, the unported ones on
+// their single read port. ReadResults accepts any version in [1, current].
 const ResultsSchemaVersion = 3
 
 // SchemeRecord serializes a scheme's full configuration.
@@ -44,7 +45,7 @@ type SchemeRecord struct {
 	OracleUses     bool             `json:"oracle_uses,omitempty"`
 	Cache          *core.Config     `json:"cache,omitempty"`
 	TwoLevel       *twolevel.Config `json:"two_level,omitempty"`
-	ReadPorts      int              `json:"read_ports,omitempty"` // port-filtering family (cache kind)
+	ReadPorts      int              `json:"read_ports,omitempty"` // backing read ports (cache kind); 0 = one
 }
 
 // CacheRecord serializes the register cache's behaviour in one run: the
@@ -95,8 +96,8 @@ type RunRecord struct {
 
 	// Threads is the requested hardware-context count for multithreaded
 	// workloads (absent = single-context), ThreadStats the per-context
-	// counter block, and PortConflictStalls the port-filtering scheme
-	// family's stall counter. All schema v3; absent before.
+	// counter block, and PortConflictStalls the request-cycles backing-file
+	// reads waited for a read port. All schema v3; absent before.
 	Threads            int            `json:"threads,omitempty"`
 	ThreadStats        []ThreadRecord `json:"thread_stats,omitempty"`
 	PortConflictStalls uint64         `json:"port_conflict_stalls,omitempty"`

@@ -29,9 +29,9 @@ const (
 )
 
 // MaxReadPorts bounds a scheme's backing-file read-port count. An 8-wide
-// machine reads at most 16 operands per cycle, so anything above this is
-// indistinguishable from unported; exported so the explore layer can
-// bound its Ports axis with the same constant the scheme validator uses.
+// machine requests at most 16 fills per cycle, so 16 ports already never
+// make a fill wait; exported so the explore layer can bound its Ports
+// axis with the same constant the scheme validator uses.
 const MaxReadPorts = 64
 
 // ParseIndexScheme parses an index scheme name. It accepts both the

@@ -59,6 +59,33 @@ func TestParseSchemeSpec(t *testing.T) {
 	}
 }
 
+// TestSchemeNames pins the names specs resolve to. Two-level names carry
+// the L2 latency only when it is not the default 2 cycles, so every
+// default-latency name stays as it was and Figure 12's two-level series
+// keeps its latencies apart.
+func TestSchemeNames(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"twolevel:96", "twolevel-96"},
+		{"twolevel:96:2", "twolevel-96"},
+		{"twolevel:96:1", "twolevel-96-l1"},
+		{"twolevel:96:3", "twolevel-96-l3"},
+		{"two-level:160:4", "twolevel-160-l4"},
+		{"twolevel:96:3:oracle", "twolevel-96-l3-oracle"},
+		{"use:64x2", "use-64x2-filtered"},
+		{"use:64x2:p1", "use-64x2-filtered-p1"},
+		{"port:16x2:p2", "port-16x2-filtered-p2"},
+		{"mono:3", "rf-3cyc"},
+	} {
+		s, err := ParseSchemeSpec(tc.spec)
+		if err != nil {
+			t.Fatalf("ParseSchemeSpec(%q): %v", tc.spec, err)
+		}
+		if s.Name != tc.want {
+			t.Errorf("ParseSchemeSpec(%q).Name = %q, want %q", tc.spec, s.Name, tc.want)
+		}
+	}
+}
+
 func TestParseSchemeSpecErrors(t *testing.T) {
 	cases := []struct {
 		spec    string

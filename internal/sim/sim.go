@@ -28,10 +28,11 @@ type Scheme struct {
 	TwoLevel       twolevel.Config
 	OracleUses     bool // perfect degree-of-use knowledge (ablation)
 
-	// ReadPorts > 0 selects the port-filtering scheme family (cache kind
-	// only): the backing file exposes that many read ports per cycle and
-	// fills beyond them queue, charging port-conflict stalls. 0 is the
-	// legacy single-serialized-port backing file.
+	// ReadPorts is the read-port count of the backing file behind a cache
+	// (cache kind only). Fills beyond the ports wait in arrival order,
+	// charging port-conflict stalls. 0 is the default single port of the
+	// paper's machine; a scheme with ReadPorts > 0 is a port-filtering
+	// design point and carries the count in its name.
 	ReadPorts int
 }
 
@@ -44,9 +45,8 @@ func (s Scheme) WithOracle() Scheme {
 }
 
 // WithPorts returns a copy of s as a port-filtering design point: the
-// backing file behind the cache exposes n read ports per cycle, with
-// explicit arbitration and port-conflict stall accounting. Only valid on
-// cache-kind schemes (Validate rejects the rest).
+// backing file behind the cache exposes n read ports per cycle. Only
+// valid on cache-kind schemes (Validate rejects the rest).
 func (s Scheme) WithPorts(n int) Scheme {
 	s.ReadPorts = n
 	s.Name = fmt.Sprintf("%s-p%d", s.Name, n)
@@ -114,10 +114,15 @@ func NonBypass(entries, ways int, index core.IndexScheme) Scheme {
 }
 
 // TwoLevel returns the optimistic two-level register file with the given
-// L1 capacity and L2 latency.
+// L1 capacity and L2 latency. The name carries the L2 latency only when it
+// is not the default 2 cycles (twolevel-96, twolevel-96-l3).
 func TwoLevel(l1Entries, l2Latency int) Scheme {
+	name := fmt.Sprintf("twolevel-%d", l1Entries)
+	if l2Latency != 2 {
+		name = fmt.Sprintf("%s-l%d", name, l2Latency)
+	}
 	return Scheme{
-		Name:     fmt.Sprintf("twolevel-%d", l1Entries),
+		Name:     name,
 		Kind:     pipeline.SchemeTwoLevel,
 		TwoLevel: twolevel.Config{L1Entries: l1Entries, L2Latency: l2Latency},
 	}

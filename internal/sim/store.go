@@ -40,7 +40,12 @@ import (
 //	    fingerprint; Result gained the per-context stats block) and the
 //	    port-filtering scheme family (read_ports in SchemeRecord,
 //	    port-conflict stalls in Stats).
-const SimulatorVersion = 3
+//	4 — one backing-file port model: ReadPorts 0 is the paper's single
+//	    read port, arbitrated like any other count, so unported cache
+//	    results gain port-conflict stalls; a ported scheme now holds its
+//	    port across the write interlock (backing latency >= 3); two-level
+//	    names carry a non-default L2 latency.
+const SimulatorVersion = 4
 
 // StorePayloadVersion versions the stored value encoding (storedResult).
 const StorePayloadVersion = 1

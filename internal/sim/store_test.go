@@ -90,7 +90,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 
 // TestStoreKeysPinned pins literal store keys, so that reworking how
 // options are checked or carried cannot silently re-key a durable store.
-// The keys embed SimulatorVersion, so they also pin it at 3.
+// The keys embed SimulatorVersion, so they also pin it at 4.
 func TestStoreKeysPinned(t *testing.T) {
 	use, err := ParseSchemeSpec("use:64x2")
 	if err != nil {
@@ -105,10 +105,10 @@ func TestStoreKeysPinned(t *testing.T) {
 		o    Options
 		want string
 	}{
-		{use, Options{}, "e66091049c14df02429e731f102409d47c5997832500f13e14b02f81c4219d2f"},
-		{use, Options{Intervals: 4}, "10c28114d317c39bd1883a5e5a997f6d44569a632f59f5195a52306fca619680"},
-		{use, Options{Threads: 4}, "e6aab22f9620761bff4cbbc8a903072268fa0f5a443b9c4dbcdb18e00ab27b41"},
-		{port, Options{Threads: 2}, "ff8eb4da5f293b6a04c21ea9c2de2805a52c5f50b44ec3aa721f04afb9a29ab1"},
+		{use, Options{}, "ea545779672a2fc230196a0451275ac7e97dba755e844e0c7713f7a38e3f2cf3"},
+		{use, Options{Intervals: 4}, "a65b512eb70a3159e1da9fc01bdaee5b0a6220bfdd2ba1e1c580656a325b1a08"},
+		{use, Options{Threads: 4}, "c09194b5f02550056a1fbfab4bd3e976d110a7c19cd2df1622a3c0687b212264"},
+		{port, Options{Threads: 2}, "5fec6ad5e2fb92c7175d2fb88cfa9562c21bda610ff7cee738d0f2fc674bd15c"},
 	} {
 		if got := Fingerprint(Job{Scheme: tc.s, Bench: "gzip", Opts: tc.o}).String(); got != tc.want {
 			t.Errorf("%s/gzip %+v: key %s, want %s", tc.s.Name, tc.o, got, tc.want)

@@ -6,8 +6,8 @@
 #
 #   * a T=4 multithreaded sweep mixing a port-filtering scheme
 #     (port:16x2:p2) with an unported one (use:64x2) via POST /v1/sweep,
-#   * checkresults validates the v3 document: per-thread stat blocks
-#     reconcile with machine totals, port stalls only on ported schemes,
+#   * checkresults validates the v3 document: per-thread stat blocks,
+#     port-conflict stalls included, reconcile with machine totals,
 #   * a port × thread-count exploration (ports 0,2 × threads 1,2) via
 #     POST /v1/explore, validated with checkresults -explore,
 #   * warm re-submissions return byte-identical documents with zero new
