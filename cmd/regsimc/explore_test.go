@@ -94,8 +94,13 @@ func TestCmdExploreClientValidation(t *testing.T) {
 		{"-entries", "16", "-kinds", "quake"}, // unknown kind
 	}
 	for _, args := range cases {
-		if err := cmdExplore(append([]string{"-server", "http://127.0.0.1:1"}, args...)); err == nil {
+		err := cmdExplore(append([]string{"-server", "http://127.0.0.1:1"}, args...))
+		if err == nil {
 			t.Errorf("cmdExplore(%v): no error", args)
+		} else if exitCode(err) != 2 {
+			// Exit status 1 would mean the spec passed client-side
+			// validation and only the unreachable server failed it.
+			t.Errorf("cmdExplore(%v): exit status %d for %v, want 2", args, exitCode(err), err)
 		}
 	}
 }

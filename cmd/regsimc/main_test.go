@@ -384,8 +384,10 @@ func TestShedStatus(t *testing.T) {
 // TestSubmitRejectsBeforeSending replays the run-contract rejection table
 // shared with internal/sim and internal/serve through regsimc submit, in
 // single-server and fleet mode: every row fails client-side with an error
-// naming its field, and no request ever reaches a server. Rows carrying
-// scheme records have no flag form and are skipped.
+// naming its field and classified for exit status 2, and no request ever
+// reaches a server. Rows carrying scheme records have no flag form and are
+// skipped. A valid request that the server refuses, or that never reaches
+// a server, keeps exit status 1.
 func TestSubmitRejectsBeforeSending(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t.Errorf("server received %s %s for a request the client should have rejected", r.Method, r.URL.Path)
@@ -424,6 +426,25 @@ func TestSubmitRejectsBeforeSending(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), row.Field) {
 				t.Errorf("%s via %s: error %v, want one naming %q", row.Name, server, err, row.Field)
 			}
+			if err != nil && exitCode(err) != 2 {
+				t.Errorf("%s via %s: exit status %d for a client-side rejection, want 2", row.Name, server, exitCode(err))
+			}
+		}
+	}
+
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "bad sweep", http.StatusBadRequest)
+	}))
+	defer refusing.Close()
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+	for _, server := range []string{refusing.URL, closed.URL} {
+		err := cmdSubmit([]string{"-server", server, "-benches", "gzip", "-schemes", "use:16x2", "-max-retries", "0"})
+		if err == nil {
+			t.Fatalf("submit to %s: no error", server)
+		}
+		if code := exitCode(err); code != 1 {
+			t.Errorf("submit to %s: exit status %d for %v, want 1", server, code, err)
 		}
 	}
 }
