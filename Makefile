@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke bench-json alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
+.PHONY: ci vet build test race bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
 
 ci: vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
 
@@ -37,18 +37,24 @@ alloc-gate:
 # Measure the simulator performance trajectory and write it to
 # BENCH_pipeline.json as a go-test JSON event stream: end-to-end throughput
 # and the run layer from the root package, per-cycle and per-stage numbers
-# from the pipeline package. The durable-store path (append, lookup, warm
-# restart through the runner) lands in BENCH_store.json. Commit the
-# refreshed files to record a baseline.
+# from the pipeline package. Commit the refreshed file to record a
+# baseline. Each trajectory file has its own target, so refreshing one
+# never rewrites another.
 bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulatorThroughput|BenchmarkRunnerColdSuite|BenchmarkIntervalThroughput' \
 		-benchtime=3x -benchmem -json . > BENCH_pipeline.json
 	$(GO) test -run='^$$' -bench='BenchmarkCycleSteadyState|BenchmarkStageBreakdown' \
 		-benchtime=100000x -benchmem -json ./internal/pipeline >> BENCH_pipeline.json
+
+# The durable-store path (append, lookup, warm restart through the runner).
+bench-json-store:
 	$(GO) test -run='^$$' -bench='BenchmarkStoreAppend|BenchmarkStoreLookup' \
 		-benchtime=2000x -benchmem -json . > BENCH_store.json
 	$(GO) test -run='^$$' -bench='BenchmarkRunnerWarmStore' \
 		-benchtime=10x -benchmem -json . >> BENCH_store.json
+
+# Fleet scatter/gather against a sleepy backend.
+bench-json-fleet:
 	$(GO) test -run='^$$' -bench='BenchmarkFleetScatterGather' \
 		-benchtime=3x -json ./internal/fleet > BENCH_fleet.json
 
@@ -90,7 +96,7 @@ explore-smoke:
 # scheme family: a T=4 sweep mixing ported and unported schemes plus a
 # ports x threads exploration through a live daemon, each validated with
 # checkresults, replayed warm (memo) and across a daemon restart (durable
-# store v3 fingerprints) byte-identically with zero re-simulation.
+# store fingerprints) byte-identically with zero re-simulation.
 # Artifacts land in /tmp/mt-smoke (OUTDIR=).
 mt-smoke:
 	./scripts/mt_smoke.sh
