@@ -97,7 +97,7 @@ func cmdLs(args []string) error {
 			undecodable++
 			continue
 		}
-		rec, err := sim.DecodeStoredResult(val)
+		rec, _, err := sim.DecodeStoredPayload(val)
 		if err != nil {
 			fmt.Printf("%x  seg %d  %6d B  %v\n", info.Key[:6], info.Segment, info.Len, err)
 			undecodable++

@@ -6,6 +6,7 @@ package main
 // compact/gc maintenance paths.
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +53,45 @@ func TestLsStatsVerify(t *testing.T) {
 	}
 	if err := cmdStats([]string{"-dir", filepath.Join(dir, "missing")}); err == nil {
 		t.Error("stats on a missing directory must fail")
+	}
+}
+
+// TestLsCountsOldPayloads: ls lists every current-version entry and
+// counts an entry an older build wrote (a version-1 JSON payload) as
+// undecodable rather than failing or misreading it.
+func TestLsCountsOldPayloads(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	populate(t, dir, 2)
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte(`{"payload_version":1,"record":{"scheme":{"name":"use-16x2-filtered","kind":"cache"},"bench":"gzip","insts":1000},"result":{"IPC":1.5}}`)
+	if err := st.Put(store.Key{1}, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	lsErr := cmdLs([]string{"-dir", dir})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if lsErr != nil {
+		t.Fatalf("ls: %v", lsErr)
+	}
+	if !strings.Contains(string(out), "2 entries (1 undecodable)") {
+		t.Errorf("ls output lacks the entry and undecodable counts:\n%s", out)
+	}
+	if n := strings.Count(string(out), "gzip"); n != 2 {
+		t.Errorf("ls listed %d gzip entries, want 2:\n%s", n, out)
 	}
 }
 

@@ -291,11 +291,7 @@ func TestCoordinatorPeerStoreResolvesPoints(t *testing.T) {
 		}
 		if downNode != nil && ownerURL == downNode.url {
 			ownedByDown++
-			payload, err := sim.EncodeStoredPayload(b, sc, opts, pipeline.Result{})
-			if err != nil {
-				t.Fatalf("EncodeStoredPayload: %v", err)
-			}
-			stored[sim.FingerprintPoint(b, sc, opts).String()] = payload
+			stored[sim.FingerprintPoint(b, sc, opts).String()] = sim.EncodeStoredPayload(b, sc, opts, pipeline.Result{})
 		} else {
 			ownedByLive++
 		}
@@ -308,7 +304,7 @@ func TestCoordinatorPeerStoreResolvesPoints(t *testing.T) {
 		// still serves GETs — a restarting node's disk outlives its pool.
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/store/") {
 			if payload, ok := stored[strings.TrimPrefix(r.URL.Path, "/v1/store/")]; ok {
-				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Content-Type", "application/octet-stream")
 				_, _ = w.Write(payload)
 				return
 			}

@@ -275,13 +275,13 @@ func (pl *Pipeline) beginExecution(u *uop, execStart uint64) {
 // u's load, honouring store-to-load forwarding from older in-flight stores
 // of the same context (contexts never share data addresses).
 func (pl *Pipeline) loadExtra(u *uop, execStart uint64) int {
-	line := u.step.MemAddr >> 6
+	line := u.memAddr >> 6
 	for _, st := range pl.inflightStores {
-		if st.tid == u.tid && st.seq < u.seq && st.state != uSquashed && st.step.MemAddr>>6 == line {
+		if st.tid == u.tid && st.seq < u.seq && st.state != uSquashed && st.memAddr>>6 == line {
 			return 0
 		}
 	}
-	return pl.mem.LoadLatency(threadAddr(u.tid, u.step.MemAddr), execStart)
+	return pl.mem.LoadLatency(threadAddr(u.tid, u.memAddr), execStart)
 }
 
 // processCompletions retires execution for uops whose results appeared at
@@ -386,11 +386,11 @@ func (pl *Pipeline) recover(b *uop) {
 	// Restore predictor state (corrected with b's actual outcome).
 	tc.yags.SetHistory(b.bhrBefore)
 	if b.inst.Op.IsCond() {
-		tc.yags.UpdateHistory(b.step.Taken)
+		tc.yags.UpdateHistory(b.taken)
 	}
 	tc.ind.SetPath(b.pathBefore)
-	if b.step.Taken {
-		tc.ind.UpdatePath(b.step.NextPC)
+	if b.taken {
+		tc.ind.UpdatePath(b.nextPC)
 	}
 	tc.ras.Restore(b.rasTop, b.rasDepth)
 

@@ -122,7 +122,8 @@ func (pl *Pipeline) renameOne(tc *threadCtx, inst *isa.Inst) *uop {
 	// token is captured between the architectural step and any predicted-
 	// path redirect so that rolling back to it restores the correct-path
 	// PC while keeping the instruction's own effects.
-	u.step = tc.exec.StepInst(inst)
+	st := tc.exec.StepInst(inst)
+	u.memAddr, u.nextPC, u.taken = st.MemAddr, st.NextPC, st.Taken
 	u.execTokAfter = tc.exec.Checkpoint()
 
 	// Branch prediction decides the fetch path.
@@ -221,7 +222,7 @@ func (pl *Pipeline) renameOne(tc *threadCtx, inst *isa.Inst) *uop {
 // the just-computed actual outcome.
 func (pl *Pipeline) predictBranch(tc *threadCtx, u *uop) {
 	inst := u.inst
-	actualNext := u.step.NextPC
+	actualNext := u.nextPC
 	switch inst.Op {
 	case isa.OpBranch:
 		pred := tc.yags.Predict(inst.PC)
@@ -232,7 +233,7 @@ func (pl *Pipeline) predictBranch(tc *threadCtx, u *uop) {
 			predNext = inst.Target
 			tc.ind.UpdatePath(inst.Target)
 		}
-		if pred != u.step.Taken {
+		if pred != u.taken {
 			u.mispredicted = true
 			tc.exec.ForcePC(predNext)
 		}

@@ -47,6 +47,9 @@ func BuildOracle(p *prog.Program, maxInsts uint64) *OracleTable {
 			break
 		}
 		e.StepInst(in)
+		// The pre-pass never rolls back: commit so the undo log stays
+		// empty instead of growing two entries per instruction.
+		e.Commit(e.Checkpoint())
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2} {
 			if r != isa.RegNone && !r.IsZeroReg() {
 				if d := defOf[r.Index()]; d >= 0 && t.uses[d] < 255 {

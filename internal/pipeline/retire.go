@@ -34,7 +34,7 @@ func (pl *Pipeline) retire() {
 				if pl.now < u.resultAt+uint64(pl.cfg.StoreRetireDelay) {
 					break
 				}
-				if !pl.mem.StoreRetire(threadAddr(u.tid, u.step.MemAddr), pl.now) {
+				if !pl.mem.StoreRetire(threadAddr(u.tid, u.memAddr), pl.now) {
 					pl.Stats.StoreRetireStalls++
 					break
 				}
@@ -84,11 +84,11 @@ func (pl *Pipeline) retireOne(tc *threadCtx, u *uop) {
 	// Branch predictor training (correct path only).
 	switch u.inst.Op {
 	case isa.OpBranch:
-		tc.yags.Train(u.inst.PC, u.bhrBefore, u.step.Taken)
+		tc.yags.Train(u.inst.PC, u.bhrBefore, u.taken)
 	case isa.OpRet:
 		// The return address stack self-trains via push/pop.
 	case isa.OpIndirect:
-		tc.ind.Train(u.inst.PC, u.pathBefore, u.step.NextPC)
+		tc.ind.Train(u.inst.PC, u.pathBefore, u.nextPC)
 	}
 
 	// Free the previous mapping of the destination register: train the

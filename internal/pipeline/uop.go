@@ -3,7 +3,6 @@ package pipeline
 import (
 	"regcache/internal/core"
 	"regcache/internal/isa"
-	"regcache/internal/prog"
 )
 
 // uopState tracks an instruction's progress through the backend.
@@ -44,7 +43,11 @@ type uop struct {
 	seq  uint64
 	tid  int32 // hardware context that fetched this instruction
 	inst *isa.Inst
-	step prog.Step
+
+	// Functional outcome (execute-at-fetch): the parts of prog.Step the
+	// timing model reads.
+	memAddr uint64 // loads/stores: word-aligned effective address
+	nextPC  uint64 // actual next PC
 
 	// Rename results.
 	destPreg core.PReg // -1 when no destination
@@ -62,7 +65,8 @@ type uop struct {
 	bhrBefore    uint64 // YAGS history when the prediction was made
 	pathBefore   uint64 // indirect path history when the prediction was made
 
-	// Branch prediction outcome.
+	// Branch outcome and prediction.
+	taken        bool // conditional branches: actual direction
 	predTaken    bool
 	mispredicted bool
 
@@ -77,12 +81,10 @@ type uop struct {
 	resultAt    uint64 // last execution cycle (result available at its end)
 	specResult  uint64 // hit-assumed resultAt used for speculative wakeup (loads)
 	missKnownAt uint64 // cycle from which the scheduler sees the real latency
-	latency     int
 
 	// Register cache interactions.
-	bypassS1   int // consumers issued for bypass-stage-1 delivery (pre-write)
-	fillsLeft  int // outstanding backing-file fills for this uop's operands
-	fillExecAt uint64
+	bypassS1  int // consumers issued for bypass-stage-1 delivery (pre-write)
+	fillsLeft int // outstanding backing-file fills for this uop's operands
 
 	defIdx uint64 // definition-counter state after this uop (oracle mode)
 

@@ -83,7 +83,8 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 
 // handleStoreGet serves this node's durable store shard to the fleet:
 // GET /v1/store/{key} returns the raw stored payload for a fingerprint
-// (the bytes sim.DecodeStoredPayload parses). Peers probe it before
+// as application/octet-stream (the binary bytes sim.DecodeStoredPayload
+// parses). Peers probe it before
 // re-simulating a point whose owner cannot take the sub-sweep. It keeps
 // answering during drain — a draining node's shard is exactly what the
 // surviving nodes need.
@@ -100,7 +101,7 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	data, err := s.cfg.Store.Store().Get(key)
 	switch {
 	case err == nil:
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(data)
 	case errors.Is(err, store.ErrNotFound), errors.Is(err, store.ErrCorrupt):
 		// A corrupt record is a miss from the fleet's point of view: the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"regcache/internal/pipeline"
 	"regcache/internal/sim"
 	"regcache/internal/store"
 )
@@ -152,5 +153,43 @@ func TestStoreGetErrors(t *testing.T) {
 	resp, _ = get(t, ts2.URL+"/v1/store/"+key)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("absent key: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStoreGetServesPayload: a stored point is served as the binary
+// payload, labelled application/octet-stream, and decodes with
+// sim.DecodeStoredPayload to the record and result that were put.
+func TestStoreGetServesPayload(t *testing.T) {
+	rs, err := sim.OpenResultStore(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	defer rs.Close()
+	sc, err := sim.ParseSchemeSpec("use:16x2:filtered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := sim.Job{Scheme: sc, Bench: "gzip", Opts: sim.Options{Insts: 2000}}
+	res := pipeline.Result{IPC: 1.25, Stats: pipeline.Stats{Cycles: 1600, Retired: 2000}}
+	if err := rs.Put(j, res); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Backend: &fakeBackend{}, Store: rs})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, data := get(t, ts.URL+"/v1/store/"+sim.Fingerprint(j).String())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("Content-Type %q, want application/octet-stream", ct)
+	}
+	rec, got, err := sim.DecodeStoredPayload(data)
+	if err != nil {
+		t.Fatalf("body does not decode: %v", err)
+	}
+	if rec.Bench != j.Bench || rec.Scheme.Name != sc.Name || got.IPC != res.IPC || got.Stats != res.Stats {
+		t.Errorf("decoded %s/%s ipc %v stats %+v, want %s/%s ipc %v", rec.Scheme.Name, rec.Bench, got.IPC, got.Stats, sc.Name, j.Bench, res.IPC)
 	}
 }

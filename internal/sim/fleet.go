@@ -5,8 +5,8 @@ package sim
 // consistent-hashes to pick an owner node, the point/run identity strings
 // scatter/gather uses to match partial results back to their sweep slots,
 // the merge that reassembles partial ResultsFiles into one byte-stable
-// document, and the wire codec for peer store lookups (GET /v1/store/{key}
-// serves the same payload ResultStore persists on disk).
+// document. Peer store lookups (GET /v1/store/{key}) carry the durable
+// payload itself, encoded and decoded by payload.go.
 //
 // Decoupled on purpose: the fingerprint is exactly the durable store key
 // (fingerprintJob under the current SimulatorVersion), so a point's ring
@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"regcache/internal/pipeline"
 	"regcache/internal/store"
 )
 
@@ -142,35 +141,4 @@ func shortIdentity(id string) string {
 		return id[:i] + "..."
 	}
 	return id
-}
-
-// EncodeStoredPayload encodes one completed point in the durable store's
-// payload form — the bytes GET /v1/store/{key} serves, identical to what
-// ResultStore.Put appends on disk.
-func EncodeStoredPayload(bench string, s Scheme, o Options, res pipeline.Result) ([]byte, error) {
-	o = o.withDefaults()
-	data, err := json.Marshal(storedResult{
-		PayloadVersion: StorePayloadVersion,
-		Record:         NewRunRecord(bench, s, o, res),
-		Result:         res,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: encode stored payload: %w", err)
-	}
-	return data, nil
-}
-
-// DecodeStoredPayload decodes a /v1/store payload into the full
-// pipeline.Result (plus the curated record), so a peer store hit is
-// indistinguishable from a local one.
-func DecodeStoredPayload(data []byte) (RunRecord, pipeline.Result, error) {
-	var sr storedResult
-	if err := json.Unmarshal(data, &sr); err != nil {
-		return RunRecord{}, pipeline.Result{}, fmt.Errorf("sim: decode stored payload: %w", err)
-	}
-	if sr.PayloadVersion != StorePayloadVersion {
-		return RunRecord{}, pipeline.Result{}, fmt.Errorf("sim: stored payload version %d, want %d",
-			sr.PayloadVersion, StorePayloadVersion)
-	}
-	return sr.Record, sr.Result, nil
 }

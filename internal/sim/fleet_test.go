@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -175,16 +176,13 @@ func TestFingerprintMatchesStoreKey(t *testing.T) {
 }
 
 // TestStoredPayloadRoundTrip: EncodeStoredPayload → DecodeStoredPayload
-// preserves both the curated record and the full pipeline result, and the
-// encoding matches what ResultStore.Put persists (the /v1/store wire
-// contract).
+// preserves both the curated record and the full pipeline result, the
+// encoding is what ResultStore.Put persists (the /v1/store wire
+// contract), and payloads of another version or layout are refused.
 func TestStoredPayloadRoundTrip(t *testing.T) {
 	schemes, benches, opts, _ := fleetTestMatrix(t)
 	res := pipeline.Result{IPC: 1.5, Stats: pipeline.Stats{Cycles: 200, Retired: 300}}
-	data, err := EncodeStoredPayload(benches[0], schemes[0], opts, res)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	data := EncodeStoredPayload(benches[0], schemes[0], opts, res)
 	rec, got, err := DecodeStoredPayload(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -206,10 +204,26 @@ func TestStoredPayloadRoundTrip(t *testing.T) {
 		t.Error("run record from decoded payload differs from original")
 	}
 
-	if _, _, err := DecodeStoredPayload([]byte(`{"payload_version":99}`)); err == nil {
+	// The store persists exactly these bytes.
+	rs := openTestStore(t, t.TempDir())
+	defer rs.Close()
+	j := Job{Scheme: schemes[0], Bench: benches[0], Opts: opts}
+	if err := rs.Put(j, res); err != nil {
+		t.Fatal(err)
+	}
+	if disk, err := rs.Store().Get(Fingerprint(j)); err != nil || !bytes.Equal(disk, data) {
+		t.Errorf("stored bytes differ from EncodeStoredPayload (err %v)", err)
+	}
+
+	if data[0] != StorePayloadVersion {
+		t.Errorf("version byte %d, want %d", data[0], StorePayloadVersion)
+	}
+	future := bytes.Clone(data)
+	future[0]++
+	if _, _, err := DecodeStoredPayload(future); err == nil {
 		t.Error("future payload version accepted")
 	}
-	if _, _, err := DecodeStoredPayload([]byte(`not json`)); err == nil {
-		t.Error("garbage payload accepted")
+	if _, _, err := DecodeStoredPayload(encodeV1Payload(t, rec, res)); err == nil {
+		t.Error("version-1 JSON payload accepted")
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -141,6 +143,48 @@ func FuzzOptions(f *testing.F) {
 		// (budget, K, warm-up), so a shared one would grow with the corpus.
 		if _, err := ExecuteWith(NewWorkloadCache(), "gzip", s, o); err != nil {
 			t.Fatalf("%+v: accepted options failed to run: %v", o, err)
+		}
+	})
+}
+
+// FuzzStoredPayload fuzzes the durable payload decoder, which reads bytes
+// from disk and from fleet peers. Any input decodes to a value or an error
+// without a panic, allocates no more than its length justifies, and, when
+// accepted, re-encodes to exactly the input bytes: the encoding is
+// canonical, so the re-encoded value decodes to the same value (which
+// byte equality shows even for NaN fields, where DeepEqual cannot).
+func FuzzStoredPayload(f *testing.F) {
+	for _, i := range []int{0, 1, 2, 4, 6} { // cache, mono, two-level, T=2 port, K=2
+		c := payloadCases[i]
+		sc, res := c.simulate(f)
+		data := EncodeStoredPayload(c.bench, sc, c.opts, res)
+		f.Add(data)
+		for _, n := range []int{0, payloadHeaderLen, len(data) / 2, len(data) - 1} {
+			f.Add(data[:n])
+		}
+		if i == 0 {
+			f.Add(encodeV1Payload(f, NewRunRecord(c.bench, sc, c.opts.withDefaults(), res), res))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, res, err := DecodeStoredPayload(data)
+		runtime.ReadMemStats(&after)
+		// The decoded RunRecord and Result plus error text are the fixed
+		// cost; every slice, string and pointer is paid for in input bytes.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(4*len(data)+16<<10) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		again := encodePayload(&rec, &res)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload re-encodes differently (%d vs %d bytes)", len(again), len(data))
+		}
+		if _, _, err := DecodeStoredPayload(again); err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
 		}
 	})
 }

@@ -239,6 +239,43 @@ func TestStoreCorruptEntryFallsBackToSimulate(t *testing.T) {
 	}
 }
 
+// TestStoreOldPayloadsSuperseded: an entry an older build wrote — a
+// version-1 JSON payload, or a version-2 payload under another layout
+// hash — reads as StoreGetCorrupt, never as a misdecoded hit; the next Put
+// supersedes it and the following Get hits.
+func TestStoreOldPayloadsSuperseded(t *testing.T) {
+	j := testStoreJob()
+	res, err := Execute(j.Bench, j.Scheme, j.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRunRecord(j.Bench, j.Scheme, j.Opts.withDefaults(), res)
+	otherLayout := EncodeStoredPayload(j.Bench, j.Scheme, j.Opts, res)
+	otherLayout[1] ^= 0x80
+	for name, old := range map[string][]byte{
+		"v1 json":      encodeV1Payload(t, rec, res),
+		"other layout": otherLayout,
+	} {
+		rs := openTestStore(t, filepath.Join(t.TempDir(), "store"))
+		if err := rs.Store().Put(fingerprintJob(SimulatorVersion, j), old); err != nil {
+			t.Fatal(err)
+		}
+		if _, st := rs.Get(j); st != StoreGetCorrupt {
+			t.Errorf("%s: Get status %v, want StoreGetCorrupt", name, st)
+		}
+		if err := rs.Put(j, res); err != nil {
+			t.Fatal(err)
+		}
+		got, st := rs.Get(j)
+		if st != StoreGetHit {
+			t.Errorf("%s: Get after Put: status %v, want StoreGetHit", name, st)
+		} else if !reflect.DeepEqual(got, jsonRoundTrip(t, res)) {
+			t.Errorf("%s: superseding entry decodes to a different result", name)
+		}
+		rs.Close()
+	}
+}
+
 func TestUseStoreAfterStartRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	j := testStoreJob()
