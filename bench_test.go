@@ -174,10 +174,10 @@ func BenchmarkRunnerMemoizedSuite(b *testing.B) {
 	b.ReportMetric(float64(st.CacheHits)/float64(max(b.N-1, 1)), "hits/op")
 }
 
-// storeBenchValue is sized like a real stored result payload (~3 KiB of
-// JSON for a cache-scheme run).
+// storeBenchValue is sized like a real stored result payload (~1.5 KiB
+// for a cache-scheme run).
 func storeBenchValue() []byte {
-	v := make([]byte, 3<<10)
+	v := make([]byte, 3<<9)
 	for i := range v {
 		v[i] = byte(i)
 	}
@@ -234,8 +234,8 @@ func BenchmarkStoreLookup(b *testing.B) {
 
 // BenchmarkRunnerWarmStore measures a warm restart through the run layer:
 // the store holds every suite point, the memo is cleared each iteration
-// (a fresh process generation), so every request is a store hit — decode,
-// CRC check, JSON unmarshal — instead of a simulation.
+// (a fresh process generation), so every request is a store hit — index
+// probe, CRC check, payload decode — instead of a simulation.
 func BenchmarkRunnerWarmStore(b *testing.B) {
 	o := benchOptions()
 	opts := sim.Options{Insts: o.Insts}
