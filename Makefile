@@ -5,9 +5,15 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
+.PHONY: ci fmt vet build test race bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
 
-ci: vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
+ci: fmt vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
+
+# Every tracked Go file, perfbench's included, must be gofmt-clean;
+# gofmt -l names the files that are not.
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -42,9 +48,9 @@ alloc-gate:
 # never rewrites another.
 bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulatorThroughput|BenchmarkRunnerColdSuite|BenchmarkIntervalThroughput' \
-		-benchtime=3x -benchmem -json . > BENCH_pipeline.json
+		-benchtime=3x -count=6 -benchmem -json . > BENCH_pipeline.json
 	$(GO) test -run='^$$' -bench='BenchmarkCycleSteadyState|BenchmarkStageBreakdown' \
-		-benchtime=100000x -benchmem -json ./internal/pipeline >> BENCH_pipeline.json
+		-benchtime=100000x -count=6 -benchmem -json ./internal/pipeline >> BENCH_pipeline.json
 
 # The durable-store path (append, lookup, warm restart through the
 # runner), six samples of each so a comparison has a median and a spread.
@@ -57,7 +63,7 @@ bench-json-store:
 # Fleet scatter/gather against a sleepy backend.
 bench-json-fleet:
 	$(GO) test -run='^$$' -bench='BenchmarkFleetScatterGather' \
-		-benchtime=3x -json ./internal/fleet > BENCH_fleet.json
+		-benchtime=3x -count=6 -json ./internal/fleet > BENCH_fleet.json
 
 # Run the 3-node cluster E2E with its merged document exported, then pin
 # it to the exact requested matrix with checkresults: full scheme × bench

@@ -32,7 +32,7 @@ func populate(t *testing.T, dir string, n int) {
 			Bench:  "gzip",
 			Opts:   sim.Options{Insts: 1000},
 		}
-		res := pipeline.Result{IPC: 1.5 + float64(i)}
+		res := pipeline.Result{Stats: pipeline.Stats{Cycles: 2, Retired: uint64(3 + 2*i)}}
 		if err := rs.Put(j, res); err != nil {
 			t.Fatal(err)
 		}

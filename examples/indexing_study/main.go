@@ -41,7 +41,7 @@ func main() {
 			if idx != core.IndexPReg && basePReg > 0 {
 				reduction = fmt.Sprintf(" (%+.0f%%)", -100*(1-r.Cache.MissRateBy(core.MissConflict)/basePReg))
 			}
-			tb.AddRow(idx.String(), fmt.Sprintf("%.3f", r.IPC),
+			tb.AddRow(idx.String(), fmt.Sprintf("%.3f", r.IPC()),
 				fmt.Sprintf("%.4f%s", r.Cache.MissRateBy(core.MissConflict), reduction),
 				fmt.Sprintf("%.4f", r.Cache.MissRate()))
 		}

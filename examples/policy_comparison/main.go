@@ -53,7 +53,7 @@ func main() {
 		}
 		c := r.Cache
 		add := func(k, v string) { rows[k] = append(rows[k], v) }
-		add("IPC", fmt.Sprintf("%.3f", r.IPC))
+		add("IPC", fmt.Sprintf("%.3f", r.IPC()))
 		add("miss rate (per operand)", fmt.Sprintf("%.4f", c.MissRate()))
 		add("  filtered misses", fmt.Sprintf("%.4f", c.MissRateBy(core.MissFiltered)))
 		add("  capacity misses", fmt.Sprintf("%.4f", c.MissRateBy(core.MissCapacity)))

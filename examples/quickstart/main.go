@@ -34,15 +34,15 @@ func main() {
 	}
 
 	fmt.Printf("benchmark %s, %d instructions\n\n", bench, insts)
-	fmt.Printf("3-cycle register file : IPC %.3f\n", baseline.IPC)
+	fmt.Printf("3-cycle register file : IPC %.3f\n", baseline.IPC())
 	fmt.Printf("use-based 64x2 cache  : IPC %.3f (%+.1f%%)\n\n",
-		cached.IPC, 100*(cached.IPC/baseline.IPC-1))
+		cached.IPC(), 100*(cached.IPC()/baseline.IPC()-1))
 
 	fmt.Printf("register cache behaviour:\n")
 	fmt.Printf("  hit rate            %.1f%%\n", 100*cached.Cache.HitRate())
-	fmt.Printf("  operands bypassed   %.1f%%\n", 100*cached.BypassFrac)
+	fmt.Printf("  operands bypassed   %.1f%%\n", 100*cached.BypassFrac())
 	fmt.Printf("  writes filtered     %.1f%%\n", 100*cached.Cache.FracWritesFiltered())
 	fmt.Printf("  zero-use victims    %.1f%%\n", 100*cached.Cache.FracVictimsZeroUse())
-	fmt.Printf("  use pred. accuracy  %.1f%%\n", 100*cached.UsePredAccuracy)
-	fmt.Printf("  backing file reads  %.3f/cycle (single read port suffices)\n", cached.RFReadBW)
+	fmt.Printf("  use pred. accuracy  %.1f%%\n", 100*cached.UsePredAccuracy())
+	fmt.Printf("  backing file reads  %.3f/cycle (single read port suffices)\n", cached.RFReadBW())
 }

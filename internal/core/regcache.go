@@ -163,13 +163,6 @@ func LRUConfig(entries, ways int) Config {
 	return Config{Entries: entries, Ways: ways, Insert: InsertAlways, Replace: ReplaceLRU, Index: IndexRoundRobin, ClassifyMisses: true}
 }
 
-// NonBypassConfig returns the Cruz et al. reference design at the given
-// geometry: values bypassed to any consumer are not cached, LRU
-// replacement.
-func NonBypassConfig(entries, ways int) Config {
-	return Config{Entries: entries, Ways: ways, Insert: InsertNonBypass, Replace: ReplaceLRU, Index: IndexRoundRobin, ClassifyMisses: true}
-}
-
 // entry is one register cache entry.
 type entry struct {
 	preg   PReg

@@ -46,68 +46,6 @@ type Stats struct {
 	lastOccCycle uint64
 }
 
-// Delta returns the counter difference s - prev. The unexported live
-// occupancy-sampling fields are carried over from s unchanged: they are
-// instantaneous state, not counters, and keeping them makes a delta against
-// a zero snapshot exactly equal to s (the interval runner's K=1 guarantee).
-func (s Stats) Delta(prev Stats) Stats {
-	d := s
-	d.Reads -= prev.Reads
-	d.Hits -= prev.Hits
-	d.Misses -= prev.Misses
-	for k := range d.MissBy {
-		d.MissBy[k] -= prev.MissBy[k]
-	}
-	d.Produced -= prev.Produced
-	d.WritesFiltered -= prev.WritesFiltered
-	d.Writes -= prev.Writes
-	d.InitialWrites -= prev.InitialWrites
-	d.Fills -= prev.Fills
-	d.Victims -= prev.Victims
-	d.VictimsZeroUse -= prev.VictimsZeroUse
-	d.Evictions -= prev.Evictions
-	d.Invalidations -= prev.Invalidations
-	d.ValuesFreed -= prev.ValuesFreed
-	d.InsertionsPerValue -= prev.InsertionsPerValue
-	d.NeverCached -= prev.NeverCached
-	d.CachedNeverRead -= prev.CachedNeverRead
-	d.Residencies -= prev.Residencies
-	d.ResidencyCycles -= prev.ResidencyCycles
-	d.OccupancyInt -= prev.OccupancyInt
-	return d
-}
-
-// Merge returns the counter sum s + o (the interval stitcher's per-interval
-// cache stats aggregation). Live occupancy-sampling state is dropped: a
-// merged Stats describes completed windows, not a running cache.
-func (s Stats) Merge(o Stats) Stats {
-	m := s
-	m.occupied, m.prevOccupied, m.lastOccCycle = 0, 0, 0
-	m.Reads += o.Reads
-	m.Hits += o.Hits
-	m.Misses += o.Misses
-	for k := range m.MissBy {
-		m.MissBy[k] += o.MissBy[k]
-	}
-	m.Produced += o.Produced
-	m.WritesFiltered += o.WritesFiltered
-	m.Writes += o.Writes
-	m.InitialWrites += o.InitialWrites
-	m.Fills += o.Fills
-	m.Victims += o.Victims
-	m.VictimsZeroUse += o.VictimsZeroUse
-	m.Evictions += o.Evictions
-	m.Invalidations += o.Invalidations
-	m.ValuesFreed += o.ValuesFreed
-	m.InsertionsPerValue += o.InsertionsPerValue
-	m.NeverCached += o.NeverCached
-	m.CachedNeverRead += o.CachedNeverRead
-	m.Residencies += o.Residencies
-	m.ResidencyCycles += o.ResidencyCycles
-	m.OccupancyInt += o.OccupancyInt
-	return m
-}
-
 // MissRate returns misses per operand lookup.
 func (s *Stats) MissRate() float64 { return ratio(s.Misses, s.Reads) }
 

@@ -92,10 +92,10 @@ func Fig9(o Options) (*Report, error) {
 			return nil, err
 		}
 		tb.AddRow(charNames[i],
-			fmtF(sr.Mean(func(p pipeline.Result) float64 { return p.CacheReadBW })),
-			fmtF(sr.Mean(func(p pipeline.Result) float64 { return p.CacheWriteBW })),
-			fmtF(sr.Mean(func(p pipeline.Result) float64 { return p.RFReadBW })),
-			fmtF(sr.Mean(func(p pipeline.Result) float64 { return p.RFWriteBW })))
+			fmtF(sr.Mean(pipeline.Result.CacheReadBW)),
+			fmtF(sr.Mean(pipeline.Result.CacheWriteBW)),
+			fmtF(sr.Mean(pipeline.Result.RFReadBW)),
+			fmtF(sr.Mean(pipeline.Result.RFWriteBW)))
 	}
 	r.Section(tb.String())
 	r.Note("file-read bandwidth equals the fill bandwidth: the cache filters reads from the backing file, which is why a single read port suffices (Section 2.2)")
@@ -186,13 +186,13 @@ func Sec3(o Options) (*Report, error) {
 	}
 	tb := stats.NewTable("metric", "measured", "paper")
 	tb.AddRow("bypass fraction of operand reads",
-		fmtPct(sr.Mean(func(p pipeline.Result) float64 { return p.BypassFrac })), "57%")
+		fmtPct(sr.Mean(pipeline.Result.BypassFrac)), "57%")
 	tb.AddRow("victims with zero remaining uses",
 		fmtPct(sr.Mean(func(p pipeline.Result) float64 { return p.Cache.FracVictimsZeroUse() })), "84%")
 	tb.AddRow("degree-of-use predictor accuracy",
-		fmtPct(sr.Mean(func(p pipeline.Result) float64 { return p.UsePredAccuracy })), "97%")
+		fmtPct(sr.Mean(pipeline.Result.UsePredAccuracy)), "97%")
 	tb.AddRow("degree-of-use predictor coverage",
-		fmtPct(sr.Mean(func(p pipeline.Result) float64 { return p.UsePredCoverage })), "(finite predictor)")
+		fmtPct(sr.Mean(pipeline.Result.UsePredCoverage)), "(finite predictor)")
 	r.Section(tb.String())
 	return r, nil
 }

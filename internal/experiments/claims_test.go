@@ -155,10 +155,10 @@ func TestClaimVitalStatistics(t *testing.T) {
 		t.Skip("long")
 	}
 	use := suite(t, sim.UseBased(64, 2, core.IndexFilteredRR))
-	if acc := use.Mean(func(p pipeline.Result) float64 { return p.UsePredAccuracy }); acc < 0.90 {
+	if acc := use.Mean(pipeline.Result.UsePredAccuracy); acc < 0.90 {
 		t.Errorf("use predictor accuracy %.3f, want >= 0.90 (paper: 0.97)", acc)
 	}
-	if byp := use.Mean(func(p pipeline.Result) float64 { return p.BypassFrac }); byp < 0.45 || byp > 0.85 {
+	if byp := use.Mean(pipeline.Result.BypassFrac); byp < 0.45 || byp > 0.85 {
 		t.Errorf("bypass fraction %.2f outside [0.45, 0.85] (paper: 0.57)", byp)
 	}
 }

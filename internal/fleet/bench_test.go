@@ -57,7 +57,7 @@ func (s *sleepyBackend) Run(ctx context.Context, bench string, sc sim.Scheme, o 
 		return pipeline.Result{}, ctx.Err()
 	}
 	s.runs.Add(1)
-	return pipeline.Result{IPC: 1}, nil
+	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, nil
 }
 
 func (s *sleepyBackend) Stats() sim.RunnerStats { return sim.RunnerStats{JobsRun: s.runs.Load()} }

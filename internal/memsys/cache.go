@@ -21,8 +21,8 @@ type Cache struct {
 	inflight  map[uint64]uint64 // line address -> cycle the fill completes
 
 	// Statistics.
-	Accesses uint64
-	Misses   uint64
+	Accesses   uint64
+	Misses     uint64
 	VictimHits uint64
 }
 
@@ -34,9 +34,9 @@ type line struct {
 
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
-	SizeBytes int
-	Ways      int
-	LineBytes int
+	SizeBytes     int
+	Ways          int
+	LineBytes     int
 	VictimEntries int // 0 disables the victim/prefetch buffer
 }
 

@@ -2,10 +2,10 @@ package memsys
 
 // Config describes the full hierarchy. Zero values select Table 1.
 type Config struct {
-	L1I, L1D CacheConfig
-	L2       CacheConfig
-	L2Latency     int // cycles for an L1-miss/L2-hit fill
-	MemLatency    int // cycles for an L2-miss fill
+	L1I, L1D        CacheConfig
+	L2              CacheConfig
+	L2Latency       int // cycles for an L1-miss/L2-hit fill
+	MemLatency      int // cycles for an L2-miss fill
 	StoreBufEntries int
 	PrefetchDegree  int // lines fetched ahead by the unit-stride prefetcher
 }
@@ -13,9 +13,9 @@ type Config struct {
 // DefaultConfig returns the Table 1 memory system.
 func DefaultConfig() Config {
 	return Config{
-		L1I: CacheConfig{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, VictimEntries: 64},
-		L1D: CacheConfig{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, VictimEntries: 64},
-		L2:  CacheConfig{SizeBytes: 1 << 20, Ways: 4, LineBytes: 128, VictimEntries: 64},
+		L1I:             CacheConfig{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, VictimEntries: 64},
+		L1D:             CacheConfig{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, VictimEntries: 64},
+		L2:              CacheConfig{SizeBytes: 1 << 20, Ways: 4, LineBytes: 128, VictimEntries: 64},
 		L2Latency:       12,
 		MemLatency:      180,
 		StoreBufEntries: 16,
@@ -57,15 +57,15 @@ type Hierarchy struct {
 	l1d *Cache
 	l2  *Cache
 
-	sbuf      []sbufEntry
-	lastMissLine uint64 // unit-stride detector state (D-side)
+	sbuf          []sbufEntry
+	lastMissLine  uint64 // unit-stride detector state (D-side)
 	lastFetchLine uint64
-	warmClock uint64 // orders functional warm touches (see warm.go)
+	warmClock     uint64 // orders functional warm touches (see warm.go)
 
 	// Statistics.
-	Loads, Stores   uint64
-	StoreBufStalls  uint64
-	PrefetchIssued  uint64
+	Loads, Stores  uint64
+	StoreBufStalls uint64
+	PrefetchIssued uint64
 }
 
 type sbufEntry struct {
@@ -83,11 +83,6 @@ func New(cfg Config) *Hierarchy {
 		l2:  NewCache(cfg.L2),
 	}
 }
-
-// L1I, L1D, L2 expose the underlying levels for statistics reporting.
-func (h *Hierarchy) L1I() *Cache { return h.l1i }
-func (h *Hierarchy) L1D() *Cache { return h.l1d }
-func (h *Hierarchy) L2() *Cache  { return h.l2 }
 
 // access walks one L1 level plus the shared L2 and returns the extra
 // latency beyond an L1 hit.

@@ -17,8 +17,8 @@ import (
 type Registry struct {
 	mu    sync.Mutex
 	vars  map[string]func() any
-	kinds map[string]metricKind     // how /metrics should render each name
-	hists map[string]*HistogramVar  // histogram vars, for bucketed exposition
+	kinds map[string]metricKind    // how /metrics should render each name
+	hists map[string]*HistogramVar // histogram vars, for bucketed exposition
 }
 
 // metricKind classifies a registered variable for Prometheus exposition.

@@ -24,8 +24,8 @@ type CacheLog struct {
 	buf []byte
 	err error
 
-	counts [NumCacheEventKinds]uint64
-	missBy [3]uint64
+	counts    [NumCacheEventKinds]uint64
+	missBy    [3]uint64
 	evictUses *stats.Histogram // remaining uses at eviction (Figure 5)
 }
 

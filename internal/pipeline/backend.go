@@ -146,11 +146,7 @@ func (pl *Pipeline) resolveOperands(u *uop) {
 					misses++
 					pl.requestFill(u, s)
 				}
-			case SchemeMonolithic:
-				pl.mono.NoteRead()
-				pl.Stats.RFReads++
-				s.acquired = true
-			case SchemeTwoLevel:
+			case SchemeMonolithic, SchemeTwoLevel:
 				pl.Stats.RFReads++
 				s.acquired = true
 			}
@@ -335,6 +331,7 @@ func (pl *Pipeline) writeback(u *uop) {
 		pl.cache.Produce(u.destPreg, int(u.destSet), remaining, u.pinned, u.bypassS1 > 0, pl.now)
 	case SchemeMonolithic:
 		pl.mono.NoteWrite(u.destPreg, u.resultAt)
+		pl.Stats.RFWrites++
 	case SchemeTwoLevel:
 		pl.tlf.Produced(u.destPreg)
 		pl.Stats.RFWrites++

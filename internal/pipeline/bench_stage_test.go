@@ -174,7 +174,7 @@ func TestStageBreakdownMatchesCycle(t *testing.T) {
 			if plain.Stats != timed.Stats {
 				t.Fatalf("stats differ after %d cycles:\n Cycle: %+v\n timed: %+v", cycles, plain.Stats, timed.Stats)
 			}
-			if want, got := plain.result(), timed.result(); !reflect.DeepEqual(want, got) {
+			if want, got := plain.counters(), timed.counters(); !reflect.DeepEqual(want, got) {
 				t.Fatalf("results differ after %d cycles:\n Cycle: %+v\n timed: %+v", cycles, want, got)
 			}
 		})

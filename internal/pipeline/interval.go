@@ -19,11 +19,10 @@ package pipeline
 // capture pass and restored from the checkpoint, while the fast-warming
 // remainder (branch and use predictors, register cache contents, fill
 // timing) re-converges inside a warm-up window whose counters are
-// discarded. The stitcher then sums the measured windows and re-derives
-// the ratio metrics, reporting per-interval skew and warm-up overhead so
-// the bounded error stays visible. One interval with no warm-up and no
-// warm image is exactly the serial run — the K=1 bit-identity guarantee
-// the tests pin.
+// discarded. The stitcher then sums the measured windows' counters,
+// reporting per-interval skew and warm-up overhead so the bounded error
+// stays visible. One interval with no warm-up and no warm image is exactly
+// the serial run — the K=1 bit-identity guarantee the tests pin.
 
 import (
 	"fmt"
@@ -34,6 +33,7 @@ import (
 	"regcache/internal/memsys"
 	"regcache/internal/obs"
 	"regcache/internal/prog"
+	"regcache/internal/stats"
 )
 
 // Checkpoint is one architectural boundary of the functional pre-pass: the
@@ -307,60 +307,16 @@ func RunIntervals(cfg Config, p *prog.Program, total uint64, o IntervalOptions) 
 }
 
 // MergeResults stitches per-interval window results into one run-level
-// Result: counters are summed and the derived ratio metrics recomputed
-// from the sums (summed Cycles are per-core cycles, so merged IPC is total
-// retired work over total simulated time). The monolithic file's raw
-// read/write counts are not part of Result, so its bandwidths recombine as
-// cycle-weighted means of the per-interval rates; every other derived
-// metric is exact in the summed counters.
+// Result by summing their counters; every ratio method then reads the
+// merged run exactly (summed Cycles are per-core cycles, so merged IPC is
+// total retired work over total simulated time).
 func MergeResults(parts []Result) Result {
 	if len(parts) == 0 {
 		return Result{}
 	}
-	m := Result{Config: parts[0].Config}
+	m := Result{Scheme: parts[0].Scheme}
 	for _, p := range parts {
-		m.Stats = m.Stats.Add(p.Stats)
-		m.Cache = m.Cache.Merge(p.Cache)
-		m.BackingReads += p.BackingReads
-		m.BackingWrites += p.BackingWrites
-		m.TLMigrations += p.TLMigrations
-		m.TLRecoveryStalls += p.TLRecoveryStalls
-		m.TLRenameStalls += p.TLRenameStalls
-		m.UsePredLookups += p.UsePredLookups
-		m.UsePredHits += p.UsePredHits
-		m.UsePredTrains += p.UsePredTrains
-		m.UsePredCorrect += p.UsePredCorrect
-	}
-	if m.Stats.Cycles > 0 {
-		m.IPC = float64(m.Stats.Retired) / float64(m.Stats.Cycles)
-	}
-	cyc := float64(m.Stats.Cycles)
-	switch m.Config.Scheme {
-	case SchemeCache:
-		m.CacheReadBW = float64(m.Cache.Reads) / cyc
-		m.CacheWriteBW = float64(m.Cache.Writes) / cyc
-		m.RFReadBW = float64(m.BackingReads) / cyc
-		m.RFWriteBW = float64(m.BackingWrites) / cyc
-	case SchemeMonolithic:
-		var rd, wr float64
-		for _, p := range parts {
-			rd += p.RFReadBW * float64(p.Stats.Cycles)
-			wr += p.RFWriteBW * float64(p.Stats.Cycles)
-		}
-		m.RFReadBW, m.RFWriteBW = rd/cyc, wr/cyc
-	case SchemeTwoLevel:
-		m.RFReadBW = float64(m.Stats.RFReads) / cyc
-		m.RFWriteBW = float64(m.Stats.RFWrites) / cyc
-	}
-	totalOperandReads := m.Stats.BypassReads + m.Stats.RFReads + m.Cache.Reads
-	if totalOperandReads > 0 {
-		m.BypassFrac = float64(m.Stats.BypassReads) / float64(totalOperandReads)
-	}
-	if m.UsePredTrains > 0 {
-		m.UsePredAccuracy = float64(m.UsePredCorrect) / float64(m.UsePredTrains)
-	}
-	if m.UsePredLookups > 0 {
-		m.UsePredCoverage = float64(m.UsePredHits) / float64(m.UsePredLookups)
+		m = stats.AddCounters(m, p)
 	}
 	return m
 }

@@ -11,6 +11,7 @@ import (
 
 	"regcache/internal/memsys"
 	"regcache/internal/prog"
+	"regcache/internal/stats"
 )
 
 func TestIntervalStarts(t *testing.T) {
@@ -175,25 +176,37 @@ func TestRunIntervalsMergedInvariants(t *testing.T) {
 	if cyc != r.Stats.Cycles {
 		t.Errorf("per-interval cycles sum to %d, merged Cycles = %d", cyc, r.Stats.Cycles)
 	}
-	if r.IPC <= 0 {
-		t.Errorf("merged IPC = %v, want > 0", r.IPC)
+	if r.IPC() <= 0 {
+		t.Errorf("merged IPC = %v, want > 0", r.IPC())
 	}
 }
 
-// TestStatsSubAddRoundTrip sanity-checks the reflection-based window
-// arithmetic: (a + b) - b == a over every counter field.
+// TestStatsSubAddRoundTrip checks the window arithmetic on whole
+// Results: counters taken at 5k and 10k retired instructions of one T=2
+// cache run give back the later ones as earlier + (later - earlier), over
+// the pipeline's, the register cache's, the backing file's and each
+// context's counters.
 func TestStatsSubAddRoundTrip(t *testing.T) {
-	p := prog.MustGenerate(mustProfile(t, "gzip"))
-	pl := New(DefaultConfig(), p)
+	cfg := DefaultConfig()
+	cfg.Threads = 2
+	pl := newBenchPipeline(t, cfg, "gzip")
 	pl.Run(5_000)
-	a := pl.Stats
-	pl.Run(10_000) // continues; Stats now a+b
-	b := pl.Stats.Sub(a)
-	if got := b.Add(a); !reflect.DeepEqual(got, pl.Stats) {
-		t.Errorf("Sub/Add round trip diverged:\ngot:  %+v\nwant: %+v", got, pl.Stats)
+	a := pl.counters()
+	pl.Run(10_000) // continues
+	b := pl.counters()
+	w := stats.SubCounters(b, a)
+	if got := stats.AddCounters(w, a); !reflect.DeepEqual(got, b) {
+		t.Errorf("Sub/Add round trip diverged:\ngot:  %+v\nwant: %+v", got, b)
 	}
-	if b.Retired == 0 || b.Retired >= pl.Stats.Retired {
-		t.Errorf("window Retired = %d, want in (0, %d)", b.Retired, pl.Stats.Retired)
+	if w.Stats.Retired == 0 || w.Stats.Retired >= b.Stats.Retired {
+		t.Errorf("window Retired = %d, want in (0, %d)", w.Stats.Retired, b.Stats.Retired)
+	}
+	if w.Cache.Reads == 0 || w.BackingReads == 0 || w.UsePredLookups == 0 {
+		t.Errorf("window lost component counters: cache reads %d, backing reads %d, use-pred lookups %d",
+			w.Cache.Reads, w.BackingReads, w.UsePredLookups)
+	}
+	if len(w.Threads) != 2 || w.Threads[1].Thread != 1 || w.Threads[1].Retired == 0 {
+		t.Errorf("window thread blocks = %+v, want two with context 1 retiring", w.Threads)
 	}
 }
 

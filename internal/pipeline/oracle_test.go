@@ -16,7 +16,7 @@ func TestOracleUses(t *testing.T) {
 	cfg.OracleUses = true
 	orac := New(cfg, p).Run(60_000)
 	t.Logf("predicted: miss %.4f IPC %.3f; oracle: miss %.4f IPC %.3f",
-		pred.Cache.MissRate(), pred.IPC, orac.Cache.MissRate(), orac.IPC)
+		pred.Cache.MissRate(), pred.IPC(), orac.Cache.MissRate(), orac.IPC())
 	if orac.Cache.MissRate() > pred.Cache.MissRate()*1.1 {
 		t.Errorf("oracle misses (%.4f) materially exceed predicted (%.4f)",
 			orac.Cache.MissRate(), pred.Cache.MissRate())

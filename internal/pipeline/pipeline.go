@@ -10,6 +10,7 @@ import (
 	"regcache/internal/obs"
 	"regcache/internal/prog"
 	"regcache/internal/regfile"
+	"regcache/internal/stats"
 	"regcache/internal/twolevel"
 	"regcache/internal/usepred"
 )
@@ -314,26 +315,8 @@ func newPipeline(cfg Config, progs []*prog.Program, execs []*prog.Exec) *Pipelin
 	return pl
 }
 
-// Cache exposes the register cache (nil for non-cache schemes).
-func (pl *Pipeline) Cache() *core.Cache { return pl.cache }
-
-// Mono exposes the monolithic register file model (nil otherwise).
-func (pl *Pipeline) Mono() *regfile.Monolithic { return pl.mono }
-
-// TwoLevel exposes the two-level file (nil otherwise).
-func (pl *Pipeline) TwoLevel() *twolevel.File { return pl.tlf }
-
-// UsePred exposes the degree-of-use predictor.
-func (pl *Pipeline) UsePred() *usepred.Predictor { return pl.upred }
-
-// Mem exposes the memory hierarchy.
-func (pl *Pipeline) Mem() *memsys.Hierarchy { return pl.mem }
-
 // Lifetimes exposes the register lifetime tracker (nil unless tracking).
 func (pl *Pipeline) Lifetimes() *regfile.Lifetimes { return pl.life }
-
-// Now returns the current cycle.
-func (pl *Pipeline) Now() uint64 { return pl.now }
 
 // SetOracle injects a pre-built oracle degree-of-use table for context 0
 // (see BuildOracle). The table must have been built from that context's
@@ -341,9 +324,6 @@ func (pl *Pipeline) Now() uint64 { return pl.now }
 // the sim layer's workload cache guarantees both. A context without an
 // injected table builds its own lazily.
 func (pl *Pipeline) SetOracle(t *OracleTable) { pl.threads[0].oracle = t }
-
-// SetThreadOracle injects a pre-built oracle table for one context.
-func (pl *Pipeline) SetThreadOracle(tid int, t *OracleTable) { pl.threads[tid].oracle = t }
 
 // robTotal returns in-flight ROB occupancy across all contexts.
 func (pl *Pipeline) robTotal() int {
@@ -360,7 +340,7 @@ func (pl *Pipeline) Run(maxInsts uint64) Result { return pl.RunWindow(0, maxInst
 
 // RunWindow simulates warmup+measure retired instructions and reports only
 // the measured window: counters accumulated while the first warmup
-// instructions retire are snapshotted out of the Result. Interval pipelines
+// instructions retire are subtracted out of the Result. Interval pipelines
 // use the warm-up to converge timing state (predictors, cache contents,
 // in-flight memory behaviour) that their architectural checkpoint does not
 // carry; a zero warmup takes no snapshot and is exactly Run.
@@ -386,13 +366,13 @@ func (pl *Pipeline) RunWindowSpans(warmup, measure uint64, sp *obs.Span) Result 
 		}
 	}
 	maxCycles := total*40 + 200_000
-	var snap windowSnap
+	var warm Result
 	if warmup > 0 {
 		wsp := sp.StartChild("warmup")
 		for pl.Stats.Retired < warmup && pl.now < maxCycles {
 			pl.Cycle()
 		}
-		snap = pl.snapshotWindow()
+		warm = pl.counters()
 		if wsp != nil {
 			wsp.SetInt("retired", int64(pl.Stats.Retired))
 			wsp.SetInt("cycles", int64(pl.now))
@@ -404,7 +384,7 @@ func (pl *Pipeline) RunWindowSpans(warmup, measure uint64, sp *obs.Span) Result 
 		pl.Cycle()
 	}
 	if msp != nil {
-		msp.SetInt("retired", int64(pl.Stats.Retired-snap.stats.Retired))
+		msp.SetInt("retired", int64(pl.Stats.Retired-warm.Stats.Retired))
 		msp.SetInt("cycles", int64(pl.now))
 		msp.End()
 	}
@@ -412,13 +392,10 @@ func (pl *Pipeline) RunWindowSpans(warmup, measure uint64, sp *obs.Span) Result 
 		panic(fmt.Sprintf("pipeline: deadlock suspected at cycle %d (%d retired of %d; iq=%d rob=%d freelist=%d)",
 			pl.now, pl.Stats.Retired, total, pl.iqCount, pl.robTotal(), pl.freelist.Len()))
 	}
-	if pl.cache != nil {
-		pl.cache.FinishSampling(pl.now)
-	}
 	if pl.life != nil {
 		pl.life.Finish(pl.now)
 	}
-	return pl.windowResult(snap)
+	return stats.SubCounters(pl.counters(), warm)
 }
 
 // cycleStage is one named step of the clock cycle.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"regcache/internal/core"
@@ -26,8 +27,8 @@ func TestMonolithicBaselineRuns(t *testing.T) {
 	if r.Stats.Retired < 50_000 {
 		t.Fatalf("retired %d, want >= 50000", r.Stats.Retired)
 	}
-	if r.IPC < 0.3 || r.IPC > 8 {
-		t.Fatalf("IPC %.3f out of plausible range", r.IPC)
+	if r.IPC() < 0.3 || r.IPC() > 8 {
+		t.Fatalf("IPC %.3f out of plausible range", r.IPC())
 	}
 	t.Logf("gzip monolithic L3: %s", r)
 }
@@ -44,10 +45,30 @@ func TestCacheSchemeRuns(t *testing.T) {
 	if r.Cache.HitRate() < 0.5 {
 		t.Fatalf("cache hit rate %.3f implausibly low", r.Cache.HitRate())
 	}
-	if r.BypassFrac < 0.2 || r.BypassFrac > 0.95 {
-		t.Fatalf("bypass fraction %.3f out of plausible range", r.BypassFrac)
+	if r.BypassFrac() < 0.2 || r.BypassFrac() > 0.95 {
+		t.Fatalf("bypass fraction %.3f out of plausible range", r.BypassFrac())
 	}
 	t.Logf("gzip use-based cache: %s", r)
+}
+
+// TestResultRatiosOfZero: every ratio method of an empty Result reads 0,
+// not NaN, which encoding/json refuses to marshal.
+func TestResultRatiosOfZero(t *testing.T) {
+	v := reflect.ValueOf(Result{})
+	ratios := 0
+	for i := 0; i < v.NumMethod(); i++ {
+		m := v.Method(i)
+		if mt := m.Type(); mt.NumIn() != 0 || mt.NumOut() != 1 || mt.Out(0).Kind() != reflect.Float64 {
+			continue
+		}
+		ratios++
+		if got := m.Call(nil)[0].Float(); got != 0 {
+			t.Errorf("Result{}.%s() = %v, want 0", v.Type().Method(i).Name, got)
+		}
+	}
+	if ratios != 8 {
+		t.Errorf("Result has %d ratio methods, want 8", ratios)
+	}
 }
 
 func TestTwoLevelSchemeRuns(t *testing.T) {
@@ -103,8 +124,8 @@ func TestAllBenchmarksAllSchemes(t *testing.T) {
 			if r.Stats.Retired < 20_000 {
 				t.Errorf("%s/%s: retired %d", name, scheme, r.Stats.Retired)
 			}
-			if r.IPC <= 0.05 || r.IPC > 8 {
-				t.Errorf("%s/%s: IPC %.3f implausible", name, scheme, r.IPC)
+			if r.IPC() <= 0.05 || r.IPC() > 8 {
+				t.Errorf("%s/%s: IPC %.3f implausible", name, scheme, r.IPC())
 			}
 		}
 	}

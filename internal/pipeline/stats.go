@@ -2,11 +2,11 @@ package pipeline
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"regcache/internal/core"
 	"regcache/internal/obs"
+	"regcache/internal/stats"
 )
 
 // Stats accumulates pipeline-level counters during simulation.
@@ -47,34 +47,7 @@ type Stats struct {
 	// waited for a read port, charged when the read is requested.
 	PortConflictStalls uint64
 
-	RFWrites uint64 // two-level scheme writeback count
-}
-
-// Sub returns the counter delta s - prev (the measured window of a run
-// that discarded a warm-up prefix). Every field is a uint64 counter, so
-// the delta is taken generically: a future field addition is subtracted
-// automatically instead of silently leaking warm-up counts into windows.
-func (s Stats) Sub(prev Stats) Stats {
-	sv := reflect.ValueOf(&s).Elem()
-	pv := reflect.ValueOf(prev)
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		f.SetUint(f.Uint() - pv.Field(i).Uint())
-	}
-	return s
-}
-
-// Add returns the counter sum s + o (the interval stitcher's aggregation;
-// summed Cycles are per-core cycles, which approximate the serial cycle
-// count when warm-up has converged each interval's state).
-func (s Stats) Add(o Stats) Stats {
-	sv := reflect.ValueOf(&s).Elem()
-	ov := reflect.ValueOf(o)
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		f.SetUint(f.Uint() + ov.Field(i).Uint())
-	}
-	return s
+	RFWrites uint64 // writebacks to the monolithic/two-level file
 }
 
 // Register publishes the live pipeline counters and an IPC gauge into a
@@ -82,12 +55,7 @@ func (s Stats) Add(o Stats) Stats {
 // s at evaluation time, so /debug/vars shows the simulation advancing.
 func (s *Stats) Register(r *obs.Registry, prefix string) {
 	r.Func(prefix+".counters", func() any { return *s })
-	r.Gauge(prefix+".ipc", func() float64 {
-		if s.Cycles == 0 {
-			return 0
-		}
-		return float64(s.Retired) / float64(s.Cycles)
-	})
+	r.Gauge(prefix+".ipc", func() float64 { return ratio(s.Retired, s.Cycles) })
 }
 
 // ThreadStats is one hardware context's slice of the machine counters in
@@ -111,46 +79,18 @@ type ThreadStats struct {
 	PortConflictStalls uint64 `json:"port_conflict_stalls"`
 }
 
-// Sub returns the counter delta s - prev (warm-up window removal).
-func (s ThreadStats) Sub(prev ThreadStats) ThreadStats {
-	return ThreadStats{
-		Thread:             s.Thread,
-		Fetched:            s.Fetched - prev.Fetched,
-		Retired:            s.Retired - prev.Retired,
-		Squashed:           s.Squashed - prev.Squashed,
-		Mispredicts:        s.Mispredicts - prev.Mispredicts,
-		CacheReads:         s.CacheReads - prev.CacheReads,
-		CacheHits:          s.CacheHits - prev.CacheHits,
-		CacheMisses:        s.CacheMisses - prev.CacheMisses,
-		PortConflictStalls: s.PortConflictStalls - prev.PortConflictStalls,
-	}
-}
-
-// Result bundles the outputs of one simulation run.
+// Result holds the counters of one simulation run, or of the measured
+// window of one. Each reported ratio is a method over them, so a window is
+// one counter subtraction and an interval stitch one counter sum
+// (stats.SubCounters, stats.AddCounters).
 type Result struct {
-	Config Config
+	Scheme Scheme
 	Stats  Stats
 
-	IPC float64
-
-	// Register cache metrics (zero value for non-cache schemes).
+	// Register cache counters (zero value for non-cache schemes).
 	Cache core.Stats
 
-	// Bandwidths per cycle (Figure 9).
-	CacheReadBW  float64
-	CacheWriteBW float64
-	RFReadBW     float64
-	RFWriteBW    float64
-
-	// Operand sourcing.
-	BypassFrac float64 // fraction of operand reads served by bypass
-
-	// Predictor quality.
-	UsePredAccuracy float64
-	UsePredCoverage float64
-
-	// Use predictor raw counters behind the two ratios above (the interval
-	// stitcher re-derives merged accuracy/coverage from their sums).
+	// Use predictor counters.
 	UsePredLookups uint64
 	UsePredHits    uint64
 	UsePredTrains  uint64
@@ -174,109 +114,71 @@ type Result struct {
 	Threads []ThreadStats `json:",omitempty"`
 }
 
-// windowSnap freezes every counter feeding a Result at the warm-up/measure
-// boundary so windowResult can report the measured window's deltas. The
-// zero value is the start-of-run snapshot.
-type windowSnap struct {
-	stats   Stats
-	cache   core.Stats
-	threads []ThreadStats
+// IPC returns retired instructions per cycle.
+func (r Result) IPC() float64 { return ratio(r.Stats.Retired, r.Stats.Cycles) }
 
-	backingReads, backingWrites                    uint64
-	monoReads, monoWrites                          uint64
-	tlMigrations, tlRecoveryStalls, tlRenameStalls uint64
-	upLookups, upHits, upTrains, upCorrect         uint64
+// BypassFrac returns the fraction of operand reads served by the bypass
+// network.
+func (r Result) BypassFrac() float64 {
+	return ratio(r.Stats.BypassReads, r.Stats.BypassReads+r.Stats.RFReads+r.Cache.Reads)
 }
 
-// snapshotWindow captures the boundary snapshot. For the cache scheme it
-// first closes the occupancy integral at the boundary, keeping the warm-up
-// window's entries×cycles out of the measured delta; the piecewise
-// integration then continues from here unperturbed.
-func (pl *Pipeline) snapshotWindow() windowSnap {
-	s := windowSnap{stats: pl.Stats}
+// UsePredAccuracy returns the fraction of use-predictor trainings whose
+// prediction was correct.
+func (r Result) UsePredAccuracy() float64 { return ratio(r.UsePredCorrect, r.UsePredTrains) }
+
+// UsePredCoverage returns the fraction of use-predictor lookups that hit.
+func (r Result) UsePredCoverage() float64 { return ratio(r.UsePredHits, r.UsePredLookups) }
+
+// CacheReadBW returns register cache reads per cycle (Figure 9).
+func (r Result) CacheReadBW() float64 { return ratio(r.Cache.Reads, r.Stats.Cycles) }
+
+// CacheWriteBW returns register cache writes per cycle (Figure 9).
+func (r Result) CacheWriteBW() float64 { return ratio(r.Cache.Writes, r.Stats.Cycles) }
+
+// RFReadBW returns register file reads per cycle: the monolithic or
+// two-level file's, or the backing file's behind a register cache
+// (Figure 9).
+func (r Result) RFReadBW() float64 {
+	return ratio(r.Stats.RFReads+r.BackingReads, r.Stats.Cycles)
+}
+
+// RFWriteBW returns register file writes per cycle, counted like
+// RFReadBW.
+func (r Result) RFWriteBW() float64 {
+	return ratio(r.Stats.RFWrites+r.BackingWrites, r.Stats.Cycles)
+}
+
+func ratio(a, b uint64) float64 { return stats.Ratio(float64(a), float64(b)) }
+
+// counters gathers every counter of the pipeline and its components. It
+// first closes the register cache's occupancy integral at the current
+// cycle, so a warm-up snapshot keeps the warm-up window's entries×cycles
+// out of the measured window; the piecewise integration continues from
+// here unperturbed.
+func (pl *Pipeline) counters() Result {
+	r := Result{
+		Scheme:         pl.cfg.Scheme,
+		Stats:          pl.Stats,
+		UsePredLookups: pl.upred.Lookups,
+		UsePredHits:    pl.upred.Hits,
+		UsePredTrains:  pl.upred.TrainEvents,
+		UsePredCorrect: pl.upred.Correct,
+	}
 	if len(pl.threads) > 1 {
-		s.threads = make([]ThreadStats, len(pl.threads))
+		r.Threads = make([]ThreadStats, len(pl.threads))
 		for i := range pl.threads {
-			s.threads[i] = pl.threads[i].stats
+			r.Threads[i] = pl.threads[i].stats
+			r.Threads[i].Thread = i
 		}
 	}
 	if pl.cache != nil {
 		pl.cache.FinishSampling(pl.now)
-		s.cache = pl.cache.Stats
-		s.backingReads, s.backingWrites = pl.backing.Reads, pl.backing.Writes
-	}
-	if pl.mono != nil {
-		s.monoReads, s.monoWrites = pl.mono.Reads, pl.mono.Writes
+		r.Cache = pl.cache.Stats
+		r.BackingReads, r.BackingWrites = pl.backing.Reads, pl.backing.Writes
 	}
 	if pl.tlf != nil {
-		s.tlMigrations, s.tlRecoveryStalls, s.tlRenameStalls = pl.tlf.Migrations, pl.tlf.RecoveryStalls, pl.tlf.RenameStalls
-	}
-	s.upLookups, s.upHits = pl.upred.Lookups, pl.upred.Hits
-	s.upTrains, s.upCorrect = pl.upred.TrainEvents, pl.upred.Correct
-	return s
-}
-
-// result assembles the Result from the pipeline's final state.
-func (pl *Pipeline) result() Result { return pl.windowResult(windowSnap{}) }
-
-// windowResult assembles the Result for everything after snap. With a zero
-// snapshot every delta is the raw counter and every formula reduces to the
-// serial one, so a warm-up-free run is bit-identical to the pre-window
-// implementation.
-func (pl *Pipeline) windowResult(snap windowSnap) Result {
-	st := pl.Stats.Sub(snap.stats)
-	r := Result{Config: pl.cfg, Stats: st}
-	if len(pl.threads) > 1 {
-		r.Threads = make([]ThreadStats, len(pl.threads))
-		for i := range pl.threads {
-			ts := pl.threads[i].stats
-			if snap.threads != nil {
-				ts = ts.Sub(snap.threads[i])
-			}
-			ts.Thread = i
-			r.Threads[i] = ts
-		}
-	}
-	if st.Cycles > 0 {
-		r.IPC = float64(st.Retired) / float64(st.Cycles)
-	}
-	cyc := float64(st.Cycles)
-	if pl.cache != nil {
-		r.Cache = pl.cache.Stats.Delta(snap.cache)
-		r.CacheReadBW = float64(r.Cache.Reads) / cyc
-		r.CacheWriteBW = float64(r.Cache.Writes) / cyc
-		r.BackingReads = pl.backing.Reads - snap.backingReads
-		r.BackingWrites = pl.backing.Writes - snap.backingWrites
-		r.RFReadBW = float64(r.BackingReads) / cyc
-		r.RFWriteBW = float64(r.BackingWrites) / cyc
-	}
-	if pl.mono != nil {
-		r.RFReadBW = float64(pl.mono.Reads-snap.monoReads) / cyc
-		r.RFWriteBW = float64(pl.mono.Writes-snap.monoWrites) / cyc
-	}
-	if pl.tlf != nil {
-		r.RFReadBW = float64(st.RFReads) / cyc
-		r.RFWriteBW = float64(st.RFWrites) / cyc
-		r.TLMigrations = pl.tlf.Migrations - snap.tlMigrations
-		r.TLRecoveryStalls = pl.tlf.RecoveryStalls - snap.tlRecoveryStalls
-		r.TLRenameStalls = pl.tlf.RenameStalls - snap.tlRenameStalls
-	}
-	totalOperandReads := st.BypassReads + st.RFReads
-	if pl.cache != nil {
-		totalOperandReads += r.Cache.Reads
-	}
-	if totalOperandReads > 0 {
-		r.BypassFrac = float64(st.BypassReads) / float64(totalOperandReads)
-	}
-	r.UsePredLookups = pl.upred.Lookups - snap.upLookups
-	r.UsePredHits = pl.upred.Hits - snap.upHits
-	r.UsePredTrains = pl.upred.TrainEvents - snap.upTrains
-	r.UsePredCorrect = pl.upred.Correct - snap.upCorrect
-	if r.UsePredTrains > 0 {
-		r.UsePredAccuracy = float64(r.UsePredCorrect) / float64(r.UsePredTrains)
-	}
-	if r.UsePredLookups > 0 {
-		r.UsePredCoverage = float64(r.UsePredHits) / float64(r.UsePredLookups)
+		r.TLMigrations, r.TLRecoveryStalls, r.TLRenameStalls = pl.tlf.Migrations, pl.tlf.RecoveryStalls, pl.tlf.RenameStalls
 	}
 	return r
 }
@@ -285,21 +187,21 @@ func (pl *Pipeline) windowResult(snap windowSnap) Result {
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scheme=%s IPC=%.3f (%d insts / %d cycles)\n",
-		r.Config.Scheme, r.IPC, r.Stats.Retired, r.Stats.Cycles)
+		r.Scheme, r.IPC(), r.Stats.Retired, r.Stats.Cycles)
 	fmt.Fprintf(&b, "branches: %d mispredicts (%.2f/1k insts); replays %d; squashed %d\n",
 		r.Stats.Mispredicts, 1000*float64(r.Stats.Mispredicts)/float64(max64(r.Stats.Retired, 1)),
 		r.Stats.Replays, r.Stats.Squashed)
-	fmt.Fprintf(&b, "operands: bypass %.1f%% (stage1 %.0f%% of bypasses)\n", 100*r.BypassFrac,
+	fmt.Fprintf(&b, "operands: bypass %.1f%% (stage1 %.0f%% of bypasses)\n", 100*r.BypassFrac(),
 		100*float64(r.Stats.BypassS1Reads)/float64(max64(r.Stats.BypassReads, 1)))
-	if r.Config.Scheme == SchemeCache {
+	if r.Scheme == SchemeCache {
 		fmt.Fprintf(&b, "cache: miss rate %.4f (filtered %.4f capacity %.4f conflict %.4f); RC miss events %d\n",
 			r.Cache.MissRate(), r.Cache.MissRateBy(core.MissFiltered),
 			r.Cache.MissRateBy(core.MissCapacity), r.Cache.MissRateBy(core.MissConflict),
 			r.Stats.RCMissEvents)
 		fmt.Fprintf(&b, "bandwidth/cycle: cache r %.2f w %.2f; file r %.3f w %.2f\n",
-			r.CacheReadBW, r.CacheWriteBW, r.RFReadBW, r.RFWriteBW)
+			r.CacheReadBW(), r.CacheWriteBW(), r.RFReadBW(), r.RFWriteBW())
 		fmt.Fprintf(&b, "use predictor: accuracy %.3f coverage %.3f\n",
-			r.UsePredAccuracy, r.UsePredCoverage)
+			r.UsePredAccuracy(), r.UsePredCoverage())
 	}
 	return b.String()
 }

@@ -50,8 +50,8 @@ func TestChainBackToBackIssue(t *testing.T) {
 		pl := New(tc.mk(), buildChain(t, 64))
 		r := pl.Run(30_000)
 		// The unconditional jump adds ~1/65 of non-chain work.
-		if r.IPC < 0.95 || r.IPC > 1.1 {
-			t.Errorf("%s: serial chain IPC = %.3f, want ~1.0", tc.name, r.IPC)
+		if r.IPC() < 0.95 || r.IPC() > 1.1 {
+			t.Errorf("%s: serial chain IPC = %.3f, want ~1.0", tc.name, r.IPC())
 		}
 	}
 }

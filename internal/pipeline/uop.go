@@ -103,9 +103,3 @@ func (u *uop) effectiveResult(now uint64) uint64 {
 	}
 	return u.resultAt
 }
-
-// executedBy reports whether the value is available from storage from the
-// perspective of a consumer (producer finished executing).
-func (u *uop) completed() bool {
-	return u.state == uDone || u.state == uRetired
-}

@@ -202,7 +202,7 @@ func TestCallRet(t *testing.T) {
 	if !s.Taken || e.Reg(isa.RA) != p.Entry()+isa.InstBytes {
 		t.Fatal("call did not record return address")
 	}
-	e.Step() // li in f
+	e.Step()     // li in f
 	s = e.Step() // ret
 	if s.NextPC != p.Entry()+isa.InstBytes {
 		t.Fatalf("ret went to %#x, want %#x", s.NextPC, p.Entry()+isa.InstBytes)

@@ -86,10 +86,10 @@ func (p *Program) Validate() error {
 // labels. Branch targets may reference labels defined later; Finish patches
 // them all and validates the result.
 type Builder struct {
-	name    string
-	insts   []isa.Inst
-	image   map[uint64]uint64
-	memSeed uint64
+	name        string
+	insts       []isa.Inst
+	image       map[uint64]uint64
+	memSeed     uint64
 	labels      map[string]uint64
 	patches     []patch
 	dataPatches []dataPatch
@@ -141,16 +141,6 @@ func (b *Builder) EmitBranch(in isa.Inst, label string) {
 // Data places one 64-bit word into the static memory image.
 func (b *Builder) Data(addr, value uint64) {
 	b.image[addr&^7] = value
-}
-
-// LabelAddr returns the address bound to label, or panics if undefined.
-// Valid only after the label has been bound.
-func (b *Builder) LabelAddr(label string) uint64 {
-	a, ok := b.labels[label]
-	if !ok {
-		panic("prog: undefined label " + label)
-	}
-	return a
 }
 
 // DataLabel places the (eventually resolved) address of a label into the

@@ -204,14 +204,12 @@ func (b *BackingFile) Read(p core.PReg, now uint64) (ready, waited uint64) {
 
 // Monolithic models the multi-cycle monolithic register file of the
 // baseline machine. Its latency shapes the scheduler's operand-availability
-// windows; the structure itself only carries the parameters and bandwidth
-// statistics.
+// windows; the structure itself only carries the parameters. The pipeline
+// counts its reads and writes (Stats.RFReads and Stats.RFWrites), as it
+// does the two-level file's.
 type Monolithic struct {
 	latency   int
 	writeDone []uint64
-
-	Reads  uint64
-	Writes uint64
 }
 
 // NewMonolithic builds a monolithic register file model.
@@ -224,9 +222,5 @@ func (m *Monolithic) Latency() int { return m.latency }
 
 // NoteWrite records the write of p completing execution at execEnd.
 func (m *Monolithic) NoteWrite(p core.PReg, execEnd uint64) {
-	m.Writes++
 	m.writeDone[p] = execEnd + uint64(m.latency)
 }
-
-// NoteRead counts a register file read (bandwidth statistic).
-func (m *Monolithic) NoteRead() { m.Reads++ }

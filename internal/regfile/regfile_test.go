@@ -238,11 +238,6 @@ func TestMonolithicCounters(t *testing.T) {
 	if m.Latency() != 3 {
 		t.Fatal("latency wrong")
 	}
-	m.NoteWrite(1, 5)
-	m.NoteRead()
-	if m.Writes != 1 || m.Reads != 1 {
-		t.Fatal("counters wrong")
-	}
 }
 
 func TestLifetimePhases(t *testing.T) {

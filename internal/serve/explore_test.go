@@ -281,7 +281,7 @@ func (e *erroringBackend) Run(ctx context.Context, bench string, s sim.Scheme, o
 	if strings.Contains(s.Name, e.fail) {
 		return pipeline.Result{}, fmt.Errorf("point %s/%s exploded", s.Name, bench)
 	}
-	return pipeline.Result{IPC: 1}, nil
+	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, nil
 }
 
 func (e *erroringBackend) Stats() sim.RunnerStats {

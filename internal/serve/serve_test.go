@@ -50,7 +50,7 @@ func (f *fakeBackend) Run(ctx context.Context, bench string, s sim.Scheme, o sim
 			return pipeline.Result{}, ctx.Err()
 		}
 	}
-	return pipeline.Result{IPC: 1}, nil
+	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, nil
 }
 
 func (f *fakeBackend) release() {

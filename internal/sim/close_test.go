@@ -27,7 +27,7 @@ func TestRunnerClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("memoized read after close: %v", err)
 	}
-	if res2.IPC != res.IPC {
+	if res2.IPC() != res.IPC() {
 		t.Errorf("memoized result changed after close")
 	}
 

@@ -32,7 +32,7 @@ func fleetTestMatrix(t *testing.T) (schemes []Scheme, benches []string, opts Opt
 
 // fleetRun synthesizes a deterministic run record for one point.
 func fleetRun(bench string, sc Scheme, o Options, ipc float64) RunRecord {
-	return NewRunRecord(bench, sc, o, pipeline.Result{IPC: ipc, Stats: pipeline.Stats{Cycles: 100, Retired: uint64(ipc * 100)}})
+	return NewRunRecord(bench, sc, o, pipeline.Result{Stats: pipeline.Stats{Cycles: 100, Retired: uint64(ipc * 100)}})
 }
 
 func partial(runs ...RunRecord) *ResultsFile {
@@ -181,7 +181,7 @@ func TestFingerprintMatchesStoreKey(t *testing.T) {
 // contract), and payloads of another version or layout are refused.
 func TestStoredPayloadRoundTrip(t *testing.T) {
 	schemes, benches, opts, _ := fleetTestMatrix(t)
-	res := pipeline.Result{IPC: 1.5, Stats: pipeline.Stats{Cycles: 200, Retired: 300}}
+	res := pipeline.Result{Stats: pipeline.Stats{Cycles: 200, Retired: 300}}
 	data := EncodeStoredPayload(benches[0], schemes[0], opts, res)
 	rec, got, err := DecodeStoredPayload(data)
 	if err != nil {

@@ -83,13 +83,13 @@ func TestIntervalStatsEpsilon(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s K=%d: %v", s.Name, b, k, err)
 				}
-				rel := (par.IPC - serial.IPC) / serial.IPC
+				rel := (par.IPC() - serial.IPC()) / serial.IPC()
 				if rel < 0 {
 					rel = -rel
 				}
 				if rel > epsilon {
 					t.Errorf("%s/%s K=%d: IPC %.4f vs serial %.4f (%.2f%% off, documented epsilon %.0f%%)",
-						s.Name, b, k, par.IPC, serial.IPC, 100*rel, 100*epsilon)
+						s.Name, b, k, par.IPC(), serial.IPC(), 100*rel, 100*epsilon)
 				}
 				slack := uint64(8 * k)
 				if par.Stats.Retired < insts-slack || par.Stats.Retired > insts+slack {

@@ -54,8 +54,8 @@ func checkPipelineInvariants(t *testing.T, s Scheme, res pipeline.Result) {
 	if st.Cycles == 0 {
 		t.Fatalf("Cycles = 0")
 	}
-	if res.IPC <= 0 {
-		t.Errorf("IPC = %v, want > 0", res.IPC)
+	if res.IPC() <= 0 {
+		t.Errorf("IPC = %v, want > 0", res.IPC())
 	}
 	if st.Retired < invariantInsts {
 		t.Errorf("Retired = %d, want >= the %d budget", st.Retired, invariantInsts)
@@ -63,12 +63,12 @@ func checkPipelineInvariants(t *testing.T, s Scheme, res pipeline.Result) {
 	if st.Retired > st.Fetched {
 		t.Errorf("Retired %d > Fetched %d: instructions retired that were never fetched", st.Retired, st.Fetched)
 	}
-	if ipc := float64(st.Retired) / float64(st.Cycles); !closeTo(res.IPC, ipc) {
-		t.Errorf("IPC %v inconsistent with Retired/Cycles = %v", res.IPC, ipc)
+	if ipc := float64(st.Retired) / float64(st.Cycles); !closeTo(res.IPC(), ipc) {
+		t.Errorf("IPC %v inconsistent with Retired/Cycles = %v", res.IPC(), ipc)
 	}
-	inUnit(t, "BypassFrac", res.BypassFrac)
-	inUnit(t, "UsePredAccuracy", res.UsePredAccuracy)
-	inUnit(t, "UsePredCoverage", res.UsePredCoverage)
+	inUnit(t, "BypassFrac", res.BypassFrac())
+	inUnit(t, "UsePredAccuracy", res.UsePredAccuracy())
+	inUnit(t, "UsePredCoverage", res.UsePredCoverage())
 	if st.BypassReads > st.SrcOperands {
 		t.Errorf("BypassReads %d > SrcOperands %d", st.BypassReads, st.SrcOperands)
 	}

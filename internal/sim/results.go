@@ -213,13 +213,13 @@ func NewRunRecord(bench string, s Scheme, o Options, r pipeline.Result) RunRecor
 		Insts:           o.Insts,
 		Cycles:          r.Stats.Cycles,
 		Retired:         r.Stats.Retired,
-		IPC:             r.IPC,
-		BypassFrac:      r.BypassFrac,
+		IPC:             r.IPC(),
+		BypassFrac:      r.BypassFrac(),
 		Mispredicts:     r.Stats.Mispredicts,
 		Replays:         r.Stats.Replays,
 		RCMissEvents:    r.Stats.RCMissEvents,
-		UsePredAccuracy: r.UsePredAccuracy,
-		UsePredCoverage: r.UsePredCoverage,
+		UsePredAccuracy: r.UsePredAccuracy(),
+		UsePredCoverage: r.UsePredCoverage(),
 		BackingReads:    r.BackingReads,
 		BackingWrites:   r.BackingWrites,
 	}
@@ -274,20 +274,6 @@ func NewRunRecord(bench string, s Scheme, o Options, r pipeline.Result) RunRecor
 		}
 	}
 	return rec
-}
-
-// Records serializes the suite's per-benchmark results in suite order
-// (benchmarks that failed are absent).
-func (sr *SuiteResult) Records(o Options) []RunRecord {
-	out := make([]RunRecord, 0, len(sr.Order))
-	for _, b := range sr.Order {
-		r, ok := sr.PerBench[b]
-		if !ok {
-			continue
-		}
-		out = append(out, NewRunRecord(b, sr.Scheme, o, r))
-	}
-	return out
 }
 
 // NewResultsFile assembles the top-level document. runner may be nil.

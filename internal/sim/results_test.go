@@ -41,7 +41,7 @@ func TestResultsRoundTrip(t *testing.T) {
 	if rr.Bench != "gzip" || rr.Scheme.Name != s.Name || rr.Scheme.Kind != "cache" {
 		t.Errorf("run identity mangled: %+v", rr)
 	}
-	if rr.IPC != res.IPC || rr.Cycles != res.Stats.Cycles || rr.Retired != res.Stats.Retired {
+	if rr.IPC != res.IPC() || rr.Cycles != res.Stats.Cycles || rr.Retired != res.Stats.Retired {
 		t.Errorf("performance fields mangled: %+v", rr)
 	}
 	if rr.Cache == nil {

@@ -40,9 +40,9 @@ type Job struct {
 // Key renders the job as a stable human-readable cache key (for metrics
 // and debugging; the map key is the Job value itself).
 func (j Job) Key() string {
-	return fmt.Sprintf("%s|%+v|%s|n=%d,k=%d,w=%d,lt=%v,lv=%v",
+	return fmt.Sprintf("%s|%+v|%s|n=%d,k=%d,w=%d,lt=%v,lv=%v,t=%d,il=%d",
 		j.Scheme.Name, j.Scheme, j.Bench, j.Opts.Insts, j.Opts.Intervals, j.Opts.WarmupInsts,
-		j.Opts.TrackLifetimes, j.Opts.TrackLive)
+		j.Opts.TrackLifetimes, j.Opts.TrackLive, j.Opts.Threads, j.Opts.Interleave)
 }
 
 // RunnerStats counts what the run layer did. Snapshots are values; use Sub

@@ -28,7 +28,7 @@ func TestRunnerMemoizesAndSingleFlights(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			results[i] = res.IPC
+			results[i] = res.IPC()
 		}(i)
 	}
 	wg.Wait()
@@ -134,7 +134,7 @@ func TestRunSuitePartialResultsOnError(t *testing.T) {
 		t.Fatalf("partial results = %d benchmarks, want 2", len(sr.PerBench))
 	}
 	for _, b := range []string{"gzip", "twolf"} {
-		if res, ok := sr.PerBench[b]; !ok || res.IPC <= 0 {
+		if res, ok := sr.PerBench[b]; !ok || res.IPC() <= 0 {
 			t.Errorf("%s result missing or empty from partial suite", b)
 		}
 	}
@@ -232,6 +232,16 @@ func TestJobKeyDistinguishesConfigs(t *testing.T) {
 	if !strings.Contains(ka, "gzip") {
 		t.Errorf("key %q missing benchmark", ka)
 	}
+	for _, pair := range [][2]Options{
+		{{Insts: 1000, Threads: 2}, {Insts: 1000, Threads: 4}},
+		{{Insts: 1000, Threads: 2, Interleave: 4}, {Insts: 1000, Threads: 2, Interleave: 8}},
+	} {
+		k0 := Job{Scheme: a, Bench: "gzip", Opts: pair[0]}.Key()
+		k1 := Job{Scheme: a, Bench: "gzip", Opts: pair[1]}.Key()
+		if k0 == k1 {
+			t.Errorf("options %+v and %+v share the job key %q", pair[0], pair[1], k0)
+		}
+	}
 }
 
 // TestRunnerRecoversPanickedJob: a configuration that panics deep inside
@@ -260,7 +270,7 @@ func TestRunnerRecoversPanickedJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after panicked job: %v", err)
 	}
-	if res.IPC <= 0 {
-		t.Errorf("IPC = %v after panicked job, want > 0", res.IPC)
+	if res.IPC() <= 0 {
+		t.Errorf("IPC = %v after panicked job, want > 0", res.IPC())
 	}
 }

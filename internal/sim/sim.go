@@ -497,10 +497,10 @@ func (sr *SuiteResult) RelIPC(base *SuiteResult) float64 {
 	var ratios []float64
 	for _, b := range sr.Order {
 		bb, ok := base.PerBench[b]
-		if !ok || bb.IPC == 0 {
+		if !ok || bb.IPC() == 0 {
 			continue
 		}
-		ratios = append(ratios, sr.PerBench[b].IPC/bb.IPC)
+		ratios = append(ratios, sr.PerBench[b].IPC()/bb.IPC())
 	}
 	return stats.GeoMean(ratios)
 }
@@ -509,7 +509,7 @@ func (sr *SuiteResult) RelIPC(base *SuiteResult) float64 {
 func (sr *SuiteResult) IPCs() []float64 {
 	out := make([]float64, 0, len(sr.Order))
 	for _, b := range sr.Order {
-		out = append(out, sr.PerBench[b].IPC)
+		out = append(out, sr.PerBench[b].IPC())
 	}
 	return out
 }

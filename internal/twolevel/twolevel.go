@@ -19,11 +19,7 @@
 // only strengthens the paper's conclusion that the register cache wins.
 package twolevel
 
-import (
-	"fmt"
-
-	"regcache/internal/core"
-)
+import "regcache/internal/core"
 
 // Config parameterizes the two-level file.
 type Config struct {
@@ -215,28 +211,4 @@ func (f *File) Recover(visible []core.PReg) int {
 	}
 	f.RecoveryStalls += uint64(stall)
 	return stall
-}
-
-// DebugEligibility summarizes why L1-resident values are not migratable —
-// a diagnostic for rename-stall investigations.
-func (f *File) DebugEligibility() string {
-	var inL1, notProduced, notRemapped, pending, eligible int
-	for p := range f.inL1 {
-		if !f.inL1[p] || !f.live[p] {
-			continue
-		}
-		inL1++
-		switch {
-		case !f.produced[p]:
-			notProduced++
-		case !f.remapped[p]:
-			notRemapped++
-		case f.pending[p] > 0:
-			pending++
-		default:
-			eligible++
-		}
-	}
-	return fmt.Sprintf("inL1=%d notProduced=%d notRemapped=%d pendingConsumers=%d eligible=%d",
-		inL1, notProduced, notRemapped, pending, eligible)
 }

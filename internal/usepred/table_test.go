@@ -11,9 +11,9 @@ import (
 // supplied and exact across the whole 4-bit range.
 func TestTrainPredictRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{
-		{},                                // Table 1 defaults
-		{Entries: 256, Ways: 2},           // small and shallow
-		{Entries: 64, Ways: 1},            // direct-mapped
+		{},                                   // Table 1 defaults
+		{Entries: 256, Ways: 2},              // small and shallow
+		{Entries: 64, Ways: 1},               // direct-mapped
 		{Entries: 4096, Ways: 4, SigBits: 6}, // full-signature variant
 	} {
 		cfg := cfg
@@ -151,11 +151,11 @@ func TestConfidenceThreshold(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	p := New(Config{})
 	const pc, sig = 0x5000, 0x2
-	p.Predict(pc, sig)   // miss
-	p.Train(pc, sig, 3)  // allocate
-	p.Predict(pc, sig)   // confident hit
-	p.Train(pc, sig, 3)  // correct
-	p.Train(pc, sig, 4)  // incorrect
+	p.Predict(pc, sig)  // miss
+	p.Train(pc, sig, 3) // allocate
+	p.Predict(pc, sig)  // confident hit
+	p.Train(pc, sig, 3) // correct
+	p.Train(pc, sig, 4) // incorrect
 	if p.Lookups != 2 || p.Hits != 1 {
 		t.Errorf("Lookups/Hits = %d/%d, want 2/1", p.Lookups, p.Hits)
 	}
