@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
+.PHONY: ci fmt vet build test race bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check perfbench-check
 
-ci: fmt vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
+ci: fmt vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check perfbench-check
 
 # Every tracked Go file, perfbench's included, must be gofmt-clean;
 # gofmt -l names the files that are not.
@@ -23,6 +23,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (replace regcache => ../), so the root's
+# build, vet and test never compile it, yet it implements serve.Backend
+# and drives the daemon's packages: vet and test it from its directory.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./...

@@ -30,7 +30,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -236,7 +235,7 @@ func postJSON(server, path string, body []byte, maxRetries int) (*http.Response,
 			return resp, data, nil
 		}
 		wait := backoff
-		if d, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
+		if d, ok := fleet.ParseRetryAfter(resp.Header.Get("Retry-After")); ok {
 			wait = d
 		}
 		if wait > maxBackoff {
@@ -286,31 +285,6 @@ func submitFleet(servers []string, sw sim.Sweep, deadline time.Duration, out str
 		return err
 	}
 	return reportResults(data, out)
-}
-
-// parseRetryAfter interprets a Retry-After header value per RFC 9110: a
-// non-negative decimal number of seconds, or an HTTP-date after which the
-// client may retry. A date in the past (or "0") means retry now, reported
-// as a zero duration — distinct from the !ok of an absent or malformed
-// header, which falls back to the client's own backoff.
-func parseRetryAfter(ra string) (time.Duration, bool) {
-	if ra == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(ra); err == nil {
-		if secs < 0 {
-			return 0, false
-		}
-		return time.Duration(secs) * time.Second, true
-	}
-	if t, err := http.ParseTime(ra); err == nil {
-		d := time.Until(t)
-		if d < 0 {
-			d = 0
-		}
-		return d, true
-	}
-	return 0, false
 }
 
 func cmdStatus(args []string) error {
@@ -427,7 +401,7 @@ func serverError(resp *http.Response, data []byte) error {
 		// The header may be either seconds or an HTTP-date; report the
 		// resolved wait rather than echoing the raw value with a bogus
 		// unit suffix.
-		if d, ok := parseRetryAfter(resp.Header.Get("Retry-After")); ok {
+		if d, ok := fleet.ParseRetryAfter(resp.Header.Get("Retry-After")); ok {
 			msg += fmt.Sprintf(" (retry after %s)", d.Round(time.Second))
 		}
 	}

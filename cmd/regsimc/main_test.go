@@ -111,34 +111,6 @@ func TestPostSweepHonorsRetryAfterHTTPDate(t *testing.T) {
 	}
 }
 
-func TestParseRetryAfter(t *testing.T) {
-	future := time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)
-	past := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
-	cases := []struct {
-		in     string
-		ok     bool
-		lo, hi time.Duration // accepted range (date forms race the clock)
-	}{
-		{"", false, 0, 0},
-		{"garbage", false, 0, 0},
-		{"-3", false, 0, 0},
-		{"0", true, 0, 0},
-		{"7", true, 7 * time.Second, 7 * time.Second},
-		{future, true, 8 * time.Second, 10 * time.Second},
-		{past, true, 0, 0}, // already allowed: retry now
-	}
-	for _, c := range cases {
-		d, ok := parseRetryAfter(c.in)
-		if ok != c.ok {
-			t.Errorf("parseRetryAfter(%q) ok = %v, want %v", c.in, ok, c.ok)
-			continue
-		}
-		if ok && (d < c.lo || d > c.hi) {
-			t.Errorf("parseRetryAfter(%q) = %v, want in [%v, %v]", c.in, d, c.lo, c.hi)
-		}
-	}
-}
-
 // TestServerErrorRetryAfterMessage pins the fixed diagnostic: the old code
 // blindly appended "s" to the raw header ("retry after Mon, 02 Jan...s");
 // the message now reports the resolved duration for either header form.

@@ -99,16 +99,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// With -store the daemon owns the runner so it can attach the durable
-	// result store before the pool starts: memo misses consult the store,
-	// completed points append to it, and a restart on the same directory
-	// serves repeated sweeps without re-simulating. The store outlives the
-	// runner: Drain closes the backend (flushing queued appends), and only
-	// then is the store itself closed.
-	var (
-		backend *sim.Runner
-		rstore  *sim.ResultStore
-	)
+	// With -store the durable result store is attached before the pool
+	// starts: memo misses consult the store, completed points append to
+	// it, and a restart on the same directory serves repeated sweeps
+	// without re-simulating. The store outlives the runner: Drain closes
+	// the backend (flushing queued appends), and only then is the store
+	// itself closed.
+	backend := sim.NewRunner(*workers)
+	var rstore *sim.ResultStore
 	if *storeDir != "" {
 		rs, err := sim.OpenResultStore(*storeDir, store.Options{MaxBytes: *storeMax})
 		if err != nil {
@@ -116,7 +114,6 @@ func main() {
 			os.Exit(1)
 		}
 		rstore = rs
-		backend = sim.NewRunner(*workers)
 		if err := backend.UseStore(rs); err != nil {
 			fmt.Fprintf(os.Stderr, "regsimd: attach store: %v\n", err)
 			os.Exit(1)
@@ -125,8 +122,7 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Backend:         backendOrNil(backend),
-		Workers:         *workers,
+		Backend:         backend,
 		MaxQueuedPoints: *queue,
 		MaxSyncPoints:   *syncMax,
 		MaxJobs:         *maxJobs,
@@ -179,15 +175,6 @@ func main() {
 		closeStore(rstore)
 		os.Exit(1)
 	}
-}
-
-// backendOrNil avoids handing serve.New a non-nil interface wrapping a nil
-// *sim.Runner (which it would try to use instead of building its own).
-func backendOrNil(r *sim.Runner) serve.Backend {
-	if r == nil {
-		return nil
-	}
-	return r
 }
 
 // splitList splits a comma-separated flag value, dropping empty entries.

@@ -44,20 +44,20 @@ func newSleepyBackend(workers int, delay time.Duration) *sleepyBackend {
 	return &sleepyBackend{delay: delay, sem: make(chan struct{}, workers)}
 }
 
-func (s *sleepyBackend) Run(ctx context.Context, bench string, sc sim.Scheme, o sim.Options) (pipeline.Result, error) {
+func (s *sleepyBackend) RunTimed(ctx context.Context, bench string, sc sim.Scheme, o sim.Options) (pipeline.Result, sim.PointTiming, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return pipeline.Result{}, ctx.Err()
+		return pipeline.Result{}, sim.PointTiming{}, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	select {
 	case <-time.After(s.delay):
 	case <-ctx.Done():
-		return pipeline.Result{}, ctx.Err()
+		return pipeline.Result{}, sim.PointTiming{}, ctx.Err()
 	}
 	s.runs.Add(1)
-	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, nil
+	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, sim.PointTiming{}, nil
 }
 
 func (s *sleepyBackend) Stats() sim.RunnerStats { return sim.RunnerStats{JobsRun: s.runs.Load()} }

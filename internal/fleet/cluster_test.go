@@ -278,7 +278,7 @@ func TestClusterByteStable(t *testing.T) {
 // so its own runner and workload cache do not matter).
 func singleNodeSweep(t *testing.T, body string) []byte {
 	t.Helper()
-	single := serve.New(serve.Config{Workers: 2, MaxSyncPoints: 64})
+	single := serve.New(serve.Config{Backend: sim.NewRunner(2), MaxSyncPoints: 64})
 	ts := httptest.NewServer(single.Handler())
 	defer ts.Close()
 	defer func() {

@@ -18,6 +18,7 @@ import (
 
 	"regcache/internal/explore"
 	"regcache/internal/serve"
+	"regcache/internal/sim"
 )
 
 // exploreClusterBody is a 4-candidate halving search over two benchmarks:
@@ -70,7 +71,7 @@ func TestClusterExploreByteStable(t *testing.T) {
 	}
 
 	// Reference: the same exploration on a standalone server.
-	single := serve.New(serve.Config{Workers: 2, MaxSyncPoints: 64})
+	single := serve.New(serve.Config{Backend: sim.NewRunner(2), MaxSyncPoints: 64})
 	ts := httptest.NewServer(single.Handler())
 	defer ts.Close()
 	defer func() {

@@ -330,7 +330,6 @@ func (pl *Pipeline) writeback(u *uop) {
 		}
 		pl.cache.Produce(u.destPreg, int(u.destSet), remaining, u.pinned, u.bypassS1 > 0, pl.now)
 	case SchemeMonolithic:
-		pl.mono.NoteWrite(u.destPreg, u.resultAt)
 		pl.Stats.RFWrites++
 	case SchemeTwoLevel:
 		pl.tlf.Produced(u.destPreg)

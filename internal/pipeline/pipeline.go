@@ -106,7 +106,6 @@ type Pipeline struct {
 
 	cache    *core.Cache
 	backing  *regfile.BackingFile
-	mono     *regfile.Monolithic
 	tlf      *twolevel.File
 	freelist *regfile.FreeList
 	life     *regfile.Lifetimes
@@ -270,8 +269,6 @@ func newPipeline(cfg Config, progs []*prog.Program, execs []*prog.Exec) *Pipelin
 		pl.cache = core.New(cfg.CacheCfg)
 		pl.backing = regfile.NewBackingFile(cfg.BackingLatency, cfg.NumPRegs, cfg.ReadPorts)
 		pl.prewarmFillPool(192, 8)
-	case SchemeMonolithic:
-		pl.mono = regfile.NewMonolithic(cfg.RFLatency, cfg.NumPRegs)
 	case SchemeTwoLevel:
 		tl := cfg.TwoLevelCfg
 		tl.L2Latency = max(tl.L2Latency, 1)

@@ -1,8 +1,9 @@
 // Package regfile provides the physical register infrastructure: the
 // freelist, the rename map table (widened with a register cache set index
-// for decoupled indexing, Section 4.1), the monolithic register file and
-// backing file timing models, and the register lifetime tracker behind
-// Figures 1 and 2.
+// for decoupled indexing, Section 4.1), the backing file timing model, and
+// the register lifetime tracker behind Figures 1 and 2. The monolithic
+// register file has no model here: the pipeline times it from its
+// configured latency (the read-stage depth and the bypass hole).
 package regfile
 
 import (
@@ -200,27 +201,4 @@ func (b *BackingFile) Read(p core.PReg, now uint64) (ready, waited uint64) {
 	b.portFree[k] = start + 1
 	b.Reads++
 	return start + uint64(b.latency), waited
-}
-
-// Monolithic models the multi-cycle monolithic register file of the
-// baseline machine. Its latency shapes the scheduler's operand-availability
-// windows; the structure itself only carries the parameters. The pipeline
-// counts its reads and writes (Stats.RFReads and Stats.RFWrites), as it
-// does the two-level file's.
-type Monolithic struct {
-	latency   int
-	writeDone []uint64
-}
-
-// NewMonolithic builds a monolithic register file model.
-func NewMonolithic(latency, npregs int) *Monolithic {
-	return &Monolithic{latency: latency, writeDone: make([]uint64, npregs)}
-}
-
-// Latency returns the read (and write) latency in cycles.
-func (m *Monolithic) Latency() int { return m.latency }
-
-// NoteWrite records the write of p completing execution at execEnd.
-func (m *Monolithic) NoteWrite(p core.PReg, execEnd uint64) {
-	m.writeDone[p] = execEnd + uint64(m.latency)
 }

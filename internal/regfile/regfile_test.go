@@ -233,13 +233,6 @@ func TestBackingFileMatchesFIFOReference(t *testing.T) {
 	}
 }
 
-func TestMonolithicCounters(t *testing.T) {
-	m := NewMonolithic(3, 16)
-	if m.Latency() != 3 {
-		t.Fatal("latency wrong")
-	}
-}
-
 func TestLifetimePhases(t *testing.T) {
 	l := NewLifetimes(8, false)
 	l.Alloc(1, 100)

@@ -2,8 +2,8 @@ package serve
 
 // POST /v1/explore: the design-space exploration job type. The handler
 // validates and sizes the search up front (400 for malformed spaces, 413
-// for spaces or schedules that can never be admitted), then runs it
-// through the same admission, async-job, and drain machinery as sweeps.
+// for spaces over the candidate bound), then hands it to admitAndRun,
+// the admission, async-job and drain path sweeps take too.
 // Every rung of the search is executed as one internal sweep via
 // execSweep, so a fleet gateway scatters rung points across the ring and
 // a single node runs them on its own pool — and either way memoization,
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
 	"regcache/internal/explore"
 	"regcache/internal/obs"
@@ -36,19 +35,15 @@ type ExploreRequest struct {
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	reqID := RequestIDFrom(r.Context())
 	root := s.flight.StartTrace("explore", reqID)
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req ExploreRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		root.SetError(err)
-		root.End()
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad explore request: %v", err))
+		badRequest(w, root, err, fmt.Sprintf("bad explore request: %v", err))
 		return
 	}
 	benches, err := sim.ResolveBenches(req.Benches)
 	if err != nil {
-		root.SetError(err)
-		root.End()
-		httpError(w, http.StatusBadRequest, err.Error())
+		badRequest(w, root, err, err.Error())
 		return
 	}
 	// Spec validation precedes admission: malformed ranges are 400s, a
@@ -69,9 +64,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	cands, _, err := spec.Candidates()
 	if err != nil {
-		root.SetError(err)
-		root.End()
-		httpError(w, http.StatusBadRequest, err.Error())
+		badRequest(w, root, err, err.Error())
 		return
 	}
 	plan := spec.Plan(len(cands))
@@ -80,104 +73,24 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	root.SetInt("rungs", int64(len(plan)))
 	root.SetInt("points", int64(evals))
 
-	// Same fleet split as sweeps: a gateway reserves no local points (the
-	// rung sub-sweeps admit on their owners), a single node accounts for
-	// the whole schedule. Explorations are always client-facing — leaf
-	// requests are sweeps by construction.
+	// Explorations are always client-facing — leaf requests are sweeps
+	// by construction — so a fleet member always scatters the rungs.
 	viaFleet := s.fleetEnabled()
-	admitPoints := evals
-	capacity := s.cfg.MaxQueuedPoints
-	if viaFleet {
-		admitPoints = 0
-		capacity = s.cfg.MaxQueuedPoints * len(s.fleet.Endpoints())
-		root.SetBool("fleet", true)
-	}
-
-	adm := root.StartChild("admission")
-	if evals > capacity {
-		s.rejectedTooLarge.Add(1)
-		adm.SetString("outcome", "too-large")
-		adm.End()
-		root.End()
-		s.flight.Event("shed", reqID, "explore of %d evaluations exceeds queue bound %d", evals, capacity)
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("explore schedule of %d evaluations exceeds the server's queue bound %d; shrink the space or budgets",
-				evals, capacity))
-		return
-	}
-	ok, draining := s.admit(admitPoints)
-	if !ok {
-		if draining {
-			s.rejectedDrain.Add(1)
-			adm.SetString("outcome", "shed-drain")
-			adm.End()
-			root.End()
-			s.flight.Event("shed", reqID, "explore of %d evaluations rejected: draining", evals)
-			setRetryAfter(w, s.retryAfterHint())
-			httpError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		s.rejectedBusy.Add(1)
-		adm.SetString("outcome", "shed-busy")
-		adm.End()
-		root.End()
-		s.flight.Event("shed", reqID, "explore of %d evaluations rejected: queue full (%d queued, bound %d)",
-			evals, s.QueuedPoints(), s.cfg.MaxQueuedPoints)
-		setRetryAfter(w, s.retryAfterHint())
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("queue full: %d points queued, %d requested, bound %d",
-				s.QueuedPoints(), evals, s.cfg.MaxQueuedPoints))
-		return
-	}
-	adm.SetString("outcome", "admitted")
-	adm.End()
-	s.exploresAccepted.Add(1)
-	s.exploreCandidates.Add(uint64(len(cands)))
-	if !viaFleet {
-		s.pointsSubmitted.Add(uint64(evals))
-	}
-	timeout := s.timeoutFor(req.DeadlineMS)
-
-	if req.Async || evals > s.cfg.MaxSyncPoints {
-		j := s.newJob("explore", evals)
-		root.SetString("job", j.id)
-		root.SetBool("async", true)
-		go func() {
-			defer s.release(admitPoints)
-			start := time.Now()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			jsp := root.StartChild("job")
-			res, err := s.execExplore(obs.ContextWithSpan(ctx, jsp), spec, benches, viaFleet, reqID)
-			jsp.SetError(err)
-			jsp.End()
-			root.SetError(err)
-			root.End()
-			s.observeSweep(time.Since(start))
-			s.finishJob(j, res, err)
-			s.logger.InfoContext(ctx, "async explore settled",
-				"request_id", reqID, "job", j.id, "evals", evals,
-				"elapsed_ms", float64(time.Since(start).Microseconds())/1e3,
-				"failed", err != nil)
-		}()
-		writeJSONStatus(w, http.StatusAccepted, s.jobStatus(j))
-		return
-	}
-
-	defer s.release(admitPoints)
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	res, err := s.execExplore(obs.ContextWithSpan(ctx, root), spec, benches, viaFleet, reqID)
-	s.observeSweep(time.Since(start))
-	root.SetError(err)
-	root.End()
-	if err != nil {
-		s.flight.Event("error", reqID, "explore failed: %v", err)
-		httpError(w, errStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, res)
+	s.admitAndRun(w, r, root, admission{
+		kind:     "explore",
+		remedy:   "shrink the space or budgets",
+		points:   evals,
+		viaFleet: viaFleet,
+		async:    req.Async || evals > s.cfg.MaxSyncPoints,
+		timeout:  s.timeoutFor(req.DeadlineMS),
+		accepted: func() {
+			s.exploresAccepted.Add(1)
+			s.exploreCandidates.Add(uint64(len(cands)))
+		},
+		exec: func(ctx context.Context) (any, error) {
+			return s.execExplore(ctx, spec, benches, viaFleet, reqID)
+		},
+	})
 }
 
 // execExplore runs the search engine with rung evaluations routed through

@@ -266,6 +266,84 @@ func TestExploreValidation(t *testing.T) {
 	}
 }
 
+// TestExploreShedsLikeSweeps: an exploration that no longer fits beside
+// an async sweep's held points is shed with 429, and one sent after Drain
+// with 503. Each shed carries Retry-After, closes its admission span with
+// the shed outcome, counts in its rejected counter, leaves a shed flight
+// event under the request ID, and leaks no queued points.
+func TestExploreShedsLikeSweeps(t *testing.T) {
+	be := newBlockingBackend()
+	defer be.release()
+	fr := obs.NewFlightRecorder(16, 32)
+	srv := New(Config{Backend: be, MaxQueuedPoints: exploreEvals, Flight: fr})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	shed := func(id string, status int, outcome string, rejected *obs.Counter) {
+		t.Helper()
+		before := rejected.Value()
+		req, err := http.NewRequest("POST", ts.URL+"/v1/explore", strings.NewReader(exploreBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != status {
+			t.Fatalf("%s: status %d, want %d", id, resp.StatusCode, status)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: %d without Retry-After", id, status)
+		}
+		if got := rejected.Value() - before; got != 1 {
+			t.Errorf("%s: rejected counter moved by %d, want 1", id, got)
+		}
+		d := fr.Dump()
+		var adm *obs.SpanDump
+		for i := range d.Traces {
+			if d.Traces[i].RequestID == id {
+				adm = d.Traces[i].Root.Find("admission")
+			}
+		}
+		if adm == nil || adm.Attrs["outcome"] != outcome {
+			t.Errorf("%s: admission span %+v, want outcome %s", id, adm, outcome)
+		}
+		found := false
+		for _, ev := range d.Events {
+			found = found || (ev.Kind == "shed" && ev.RequestID == id)
+		}
+		if !found {
+			t.Errorf("%s: no shed event in the flight recorder", id)
+		}
+	}
+
+	resp, data := postSweep(t, ts, `{"benches":["gzip"],"schemes":["mono:3"],"async":true}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("filler sweep: status %d: %s", resp.StatusCode, data)
+	}
+	var job JobStatus
+	if err := json.Unmarshal(data, &job); err != nil {
+		t.Fatal(err)
+	}
+	shed("explore-busy", http.StatusTooManyRequests, "shed-busy", &srv.rejectedBusy)
+	be.release()
+	if resp, data = get(t, ts.URL+"/v1/jobs/"+job.ID+"?wait=10s"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("filler job: status %d: %s", resp.StatusCode, data)
+	}
+	waitFor(t, func() bool { return srv.QueuedPoints() == 0 }, "queue to empty after the busy shed")
+
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	shed("explore-drain", http.StatusServiceUnavailable, "shed-drain", &srv.rejectedDrain)
+	if srv.QueuedPoints() != 0 {
+		t.Errorf("queued points = %d after the drain shed, want 0", srv.QueuedPoints())
+	}
+}
+
 // erroringBackend fails every point of one scheme, so an exploration dies
 // mid-rung while its other points succeed.
 type erroringBackend struct {
@@ -274,14 +352,14 @@ type erroringBackend struct {
 	runs int
 }
 
-func (e *erroringBackend) Run(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, error) {
+func (e *erroringBackend) RunTimed(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, sim.PointTiming, error) {
 	e.mu.Lock()
 	e.runs++
 	e.mu.Unlock()
 	if strings.Contains(s.Name, e.fail) {
-		return pipeline.Result{}, fmt.Errorf("point %s/%s exploded", s.Name, bench)
+		return pipeline.Result{}, sim.PointTiming{}, fmt.Errorf("point %s/%s exploded", s.Name, bench)
 	}
-	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, nil
+	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, sim.PointTiming{}, nil
 }
 
 func (e *erroringBackend) Stats() sim.RunnerStats {

@@ -41,32 +41,28 @@ import (
 	"regcache/internal/sim"
 )
 
-// Backend executes sweep points. *sim.Runner satisfies it directly; tests
-// substitute controllable fakes.
+// Backend executes sweep points: RunTimed returns a point's result with
+// its latency breakdown (the timing block and the point span's outcome).
+// *sim.Runner satisfies it directly; tests substitute controllable fakes.
 type Backend interface {
-	Run(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, error)
+	RunTimed(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, sim.PointTiming, error)
 	Stats() sim.RunnerStats
 	Close()
 }
 
-// TimedBackend is the optional extension a backend implements to report
-// per-point latency breakdowns. *sim.Runner implements it; plain Backend
-// fakes keep working (their points simply carry no timing block).
-type TimedBackend interface {
-	RunTimed(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, sim.PointTiming, error)
-}
+// maxBodyBytes caps a sweep or exploration request body.
+const maxBodyBytes = 1 << 20
 
-// Config sizes the service. Zero values select the defaults.
+// Config sizes the service. Backend is required; zero values of the other
+// fields select the defaults.
 type Config struct {
-	Backend Backend // nil: a fresh sim.NewRunner(Workers)
-	Workers int     // runner pool size when Backend is nil; <=0 selects NumCPU
+	Backend Backend // executes the points; Drain closes it
 
 	MaxQueuedPoints int           // admission bound on unfinished points; default 4096
 	MaxSyncPoints   int           // larger sweeps are answered async (202 + job); default 64
 	MaxJobs         int           // settled async jobs retained for polling; default 1024
 	DefaultTimeout  time.Duration // per-request deadline when the client sets none; default 60s
 	MaxTimeout      time.Duration // cap on client-chosen deadlines; default 10m
-	MaxBodyBytes    int64         // request body limit; default 1 MiB
 	RetryAfter      time.Duration // base Retry-After hint; scaled with queue depth, see retryAfterHint
 
 	// Peers + SelfURL enable the fleet plane: client-facing sweeps are
@@ -113,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -164,14 +157,14 @@ type Server struct {
 	exploreRungHit *obs.HistogramVar // per-rung percentage of points not re-simulated
 }
 
-// New builds a server. If cfg.Backend is nil the server owns a fresh
-// runner sized by cfg.Workers; either way Drain closes the backend.
+// New builds a server over cfg.Backend, which Drain closes. A nil
+// Backend is a caller bug and panics.
 func New(cfg Config) *Server {
+	if cfg.Backend == nil {
+		panic("serve: New needs a Config.Backend")
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, backend: cfg.Backend, jobs: make(map[string]*job)}
-	if s.backend == nil {
-		s.backend = sim.NewRunner(cfg.Workers)
-	}
 	s.flight = cfg.Flight
 	if s.flight == nil {
 		s.flight = obs.DefaultFlight()
@@ -370,93 +363,118 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Every sweep submission — even one shed at admission — gets a trace:
 	// the span tree is the postmortem record of what the service decided.
 	root := s.flight.StartTrace("sweep", reqID)
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req SweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		root.SetError(err)
-		root.End()
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad sweep request: %v", err))
+		badRequest(w, root, err, fmt.Sprintf("bad sweep request: %v", err))
 		return
 	}
 	sw, err := req.Resolve()
 	if err != nil {
-		root.SetError(err)
-		root.End()
-		httpError(w, http.StatusBadRequest, err.Error())
+		badRequest(w, root, err, err.Error())
 		return
 	}
 	points := sw.Points()
-	timeout := s.timeoutFor(req.DeadlineMS)
 	root.SetInt("points", int64(points))
 
 	// A leaf request is a sub-sweep dispatched by a peer gateway (or a
 	// multi-endpoint client): it executes locally and synchronously, never
-	// re-scattered. Everything else on a fleet member scatters across the
-	// ring — the gateway reserves no local points itself (leafExec admits
-	// this node's share per partition), but still holds a WaitGroup count
-	// so Drain waits for the gather.
+	// re-scattered.
 	leaf := isLeaf(r)
 	viaFleet := s.fleetEnabled() && !leaf
-	admitPoints := points
+	s.admitAndRun(w, r, root, admission{
+		kind:     "sweep",
+		remedy:   "split the request",
+		points:   points,
+		viaFleet: viaFleet,
+		async:    (req.Async || points > s.cfg.MaxSyncPoints) && !leaf,
+		timeout:  s.timeoutFor(req.DeadlineMS),
+		accepted: func() { s.sweepsAccepted.Add(1) },
+		exec: func(ctx context.Context) (any, error) {
+			return s.execSweep(ctx, sw, viaFleet, reqID)
+		},
+	})
+}
+
+// badRequest ends root with err and answers 400 with msg.
+func badRequest(w http.ResponseWriter, root *obs.Span, err error, msg string) {
+	root.SetError(err)
+	root.End()
+	httpError(w, http.StatusBadRequest, msg)
+}
+
+// admission is one decoded, sized request as admitAndRun sees it: the
+// fields are what a sweep and an exploration differ in.
+type admission struct {
+	kind     string        // "sweep" or "explore": the job kind and the shed wording
+	remedy   string        // how the client can shrink a request that can never fit (413)
+	points   int           // simulations the request runs
+	viaFleet bool          // scatter across the fleet instead of running on this node
+	async    bool          // answer 202 with a job ID instead of the document
+	timeout  time.Duration // deadline on exec
+	accepted func()        // counts the admitted request
+	exec     func(ctx context.Context) (any, error)
+}
+
+// admitAndRun is the service plane's one admission path. A request
+// larger than the whole queue bound is refused with 413 (no Retry-After:
+// it can never fit, so a retry is pointless); otherwise a draining server
+// sheds it with 503 and a full queue with 429, both with the load-scaled
+// Retry-After. An admitted request runs exec, in a background job
+// answered 202 when async, else under the request's context. It ends
+// root, or hands it to the job, on every path.
+func (s *Server) admitAndRun(w http.ResponseWriter, r *http.Request, root *obs.Span, a admission) {
+	reqID := RequestIDFrom(r.Context())
+	// A fleet gateway reserves no local points itself (leafExec admits
+	// this node's share per partition) but still holds a WaitGroup count
+	// so Drain waits for the gather; its bound is fleet-wide.
+	admitPoints := a.points
 	capacity := s.cfg.MaxQueuedPoints
-	if viaFleet {
+	if a.viaFleet {
 		admitPoints = 0
 		capacity = s.cfg.MaxQueuedPoints * len(s.fleet.Endpoints())
 		root.SetBool("fleet", true)
 	}
 
 	adm := root.StartChild("admission")
-	// A sweep larger than the whole queue bound (fleet-wide on a gateway)
-	// can never be admitted, even on an idle server — answer 413 (no
-	// Retry-After) rather than a 429 that well-behaved clients would retry
-	// forever.
-	if points > capacity {
-		s.rejectedTooLarge.Add(1)
-		adm.SetString("outcome", "too-large")
+	shed := func(rejected *obs.Counter, outcome string, status int, msg, why string) {
+		rejected.Add(1)
+		adm.SetString("outcome", outcome)
 		adm.End()
 		root.End()
-		s.flight.Event("shed", reqID, "sweep of %d points exceeds queue bound %d", points, capacity)
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("sweep of %d points exceeds the server's queue bound %d; split the request",
-				points, capacity))
+		s.flight.Event("shed", reqID, "%s of %d points %s", a.kind, a.points, why)
+		if status != http.StatusRequestEntityTooLarge {
+			setRetryAfter(w, s.retryAfterHint())
+		}
+		httpError(w, status, msg)
+	}
+	if a.points > capacity {
+		shed(&s.rejectedTooLarge, "too-large", http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%s of %d points exceeds the server's queue bound %d; %s", a.kind, a.points, capacity, a.remedy),
+			fmt.Sprintf("exceeds queue bound %d", capacity))
 		return
 	}
 	ok, draining := s.admit(admitPoints)
+	if draining {
+		shed(&s.rejectedDrain, "shed-drain", http.StatusServiceUnavailable, "server is draining", "rejected: draining")
+		return
+	}
 	if !ok {
-		if draining {
-			s.rejectedDrain.Add(1)
-			adm.SetString("outcome", "shed-drain")
-			adm.End()
-			root.End()
-			s.flight.Event("shed", reqID, "sweep of %d points rejected: draining", points)
-			// A drain 503 carries the same load-scaled hint as a 429 so
-			// clients and fleet peers that retry against this endpoint
-			// (e.g. behind a restarting node) pace themselves.
-			setRetryAfter(w, s.retryAfterHint())
-			httpError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		s.rejectedBusy.Add(1)
-		adm.SetString("outcome", "shed-busy")
-		adm.End()
-		root.End()
-		s.flight.Event("shed", reqID, "sweep of %d points rejected: queue full (%d queued, bound %d)",
-			points, s.QueuedPoints(), s.cfg.MaxQueuedPoints)
-		setRetryAfter(w, s.retryAfterHint())
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("queue full: %d points queued, %d requested, bound %d",
-				s.QueuedPoints(), points, s.cfg.MaxQueuedPoints))
+		queued := s.QueuedPoints()
+		shed(&s.rejectedBusy, "shed-busy", http.StatusTooManyRequests,
+			fmt.Sprintf("queue full: %d points queued, %d requested, bound %d", queued, a.points, s.cfg.MaxQueuedPoints),
+			fmt.Sprintf("rejected: queue full (%d queued, bound %d)", queued, s.cfg.MaxQueuedPoints))
 		return
 	}
 	adm.SetString("outcome", "admitted")
 	adm.End()
-	s.sweepsAccepted.Add(1)
-	if !viaFleet {
-		s.pointsSubmitted.Add(uint64(points))
+	a.accepted()
+	if !a.viaFleet {
+		s.pointsSubmitted.Add(uint64(a.points))
 	}
 
-	if (req.Async || points > s.cfg.MaxSyncPoints) && !leaf {
-		j := s.newJob("sweep", points)
+	if a.async {
+		j := s.newJob(a.kind, a.points)
 		root.SetString("job", j.id)
 		root.SetBool("async", true)
 		go func() {
@@ -464,18 +482,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			// The async trace outlives the HTTP exchange: the root span
 			// stays open until the job settles, then the tree is recorded.
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), a.timeout)
 			defer cancel()
 			jsp := root.StartChild("job")
-			file, err := s.execSweep(obs.ContextWithSpan(ctx, jsp), sw, viaFleet, reqID)
+			doc, err := a.exec(obs.ContextWithSpan(ctx, jsp))
 			jsp.SetError(err)
 			jsp.End()
 			root.SetError(err)
 			root.End()
 			s.observeSweep(time.Since(start))
-			s.finishJob(j, file, err)
-			s.logger.InfoContext(ctx, "async sweep settled",
-				"request_id", reqID, "job", j.id, "points", points,
+			s.finishJob(j, doc, err)
+			s.logger.InfoContext(ctx, "async "+a.kind+" settled",
+				"request_id", reqID, "job", j.id, "points", a.points,
 				"elapsed_ms", float64(time.Since(start).Microseconds())/1e3,
 				"failed", err != nil)
 		}()
@@ -485,18 +503,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	defer s.release(admitPoints)
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), a.timeout)
 	defer cancel()
-	file, err := s.execSweep(obs.ContextWithSpan(ctx, root), sw, viaFleet, reqID)
+	doc, err := a.exec(obs.ContextWithSpan(ctx, root))
 	s.observeSweep(time.Since(start))
 	root.SetError(err)
 	root.End()
 	if err != nil {
-		s.flight.Event("error", reqID, "sweep failed: %v", err)
+		s.flight.Event("error", reqID, "%s failed: %v", a.kind, err)
 		httpError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, file)
+	writeJSON(w, doc)
 }
 
 // runSweep executes every point of the sweep concurrently (the backend
@@ -507,7 +525,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runSweep(ctx context.Context, sw sim.Sweep) (*sim.ResultsFile, error) {
 	n := sw.Points()
 	sp := obs.SpanFromContext(ctx)
-	tb, timed := s.backend.(TimedBackend)
 	results := make([]pipeline.Result, n)
 	timings := make([]sim.PointTiming, n)
 	errs := make([]error, n)
@@ -524,12 +541,8 @@ func (s *Server) runSweep(ctx context.Context, sw sim.Sweep) (*sim.ResultsFile, 
 				psp.SetString("scheme", sc.Name)
 				psp.SetString("bench", b)
 				pctx := obs.ContextWithSpan(ctx, psp)
-				if timed {
-					results[i], timings[i], errs[i] = tb.RunTimed(pctx, b, sc, sw.Opts)
-					psp.SetString("outcome", timings[i].Outcome)
-				} else {
-					results[i], errs[i] = s.backend.Run(pctx, b, sc, sw.Opts)
-				}
+				results[i], timings[i], errs[i] = s.backend.RunTimed(pctx, b, sc, sw.Opts)
+				psp.SetString("outcome", timings[i].Outcome)
 				psp.SetError(errs[i])
 				psp.End()
 			}()
@@ -547,7 +560,7 @@ func (s *Server) runSweep(ctx context.Context, sw sim.Sweep) (*sim.ResultsFile, 
 				failed = append(failed, fmt.Errorf("%s/%s: %w", sc.Name, b, err))
 			} else {
 				rec := sim.NewRunRecord(b, sc, sw.Opts, results[idx])
-				if sw.Timings && timed {
+				if sw.Timings {
 					rec.Timing = sim.NewTimingRecord(timings[idx])
 				}
 				runs = append(runs, rec)

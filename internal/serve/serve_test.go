@@ -25,7 +25,7 @@ import (
 	"regcache/internal/sim"
 )
 
-// fakeBackend is a controllable Backend: Run blocks on gate (when set)
+// fakeBackend is a controllable Backend: RunTimed blocks on gate (when set)
 // until release() or context expiry.
 type fakeBackend struct {
 	mu     sync.Mutex
@@ -38,7 +38,7 @@ func newBlockingBackend() *fakeBackend {
 	return &fakeBackend{gate: make(chan struct{})}
 }
 
-func (f *fakeBackend) Run(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, error) {
+func (f *fakeBackend) RunTimed(ctx context.Context, bench string, s sim.Scheme, o sim.Options) (pipeline.Result, sim.PointTiming, error) {
 	f.mu.Lock()
 	f.runs++
 	gate := f.gate
@@ -47,10 +47,10 @@ func (f *fakeBackend) Run(ctx context.Context, bench string, s sim.Scheme, o sim
 		select {
 		case <-gate:
 		case <-ctx.Done():
-			return pipeline.Result{}, ctx.Err()
+			return pipeline.Result{}, sim.PointTiming{}, ctx.Err()
 		}
 	}
-	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, nil
+	return pipeline.Result{Stats: pipeline.Stats{Cycles: 1, Retired: 1}}, sim.PointTiming{}, nil
 }
 
 func (f *fakeBackend) release() {

@@ -712,13 +712,11 @@ func (r *Runner) wait(ctx context.Context, e *memoEntry) (pipeline.Result, error
 // Run simulates one benchmark under one scheme through the memoizing pool:
 // repeated requests for the same (scheme, benchmark, options) triple
 // execute once and share the result. The context covers both queue
-// submission and the wait for the result.
+// submission and the wait for the result. It is RunTimed without the
+// timing.
 func (r *Runner) Run(ctx context.Context, bench string, s Scheme, o Options) (pipeline.Result, error) {
-	e, _, err := r.submit(ctx, Job{Scheme: s, Bench: bench, Opts: o})
-	if err != nil {
-		return pipeline.Result{}, err
-	}
-	return r.wait(ctx, e)
+	res, _, err := r.RunTimed(ctx, bench, s, o)
+	return res, err
 }
 
 // RunTimed is Run plus a per-request timing breakdown. A fresh submission
