@@ -1,8 +1,9 @@
 // Package regcache's root benchmark harness: one testing.B benchmark per
 // figure and table of the paper's evaluation. Each benchmark regenerates
-// its experiment's rows (run with -v to see them) at a reduced budget, and
-// reports instructions-per-second as the benchmark metric so simulator
-// performance regressions are visible too.
+// its experiment's rows (run with -v to see them) at a reduced budget;
+// BenchmarkSimulatorThroughput and the run-layer benchmarks report
+// simulated instructions per second, so simulator performance regressions
+// are visible too.
 //
 // The authoritative full-suite regeneration is `go run ./cmd/experiments`;
 // these benchmarks exist so `go test -bench=.` exercises every experiment
@@ -29,7 +30,9 @@ func benchOptions() experiments.Options {
 	return experiments.Options{Insts: 20_000, Benches: []string{"gzip", "twolf"}}
 }
 
-// runExperiment drives one registered experiment b.N times.
+// runExperiment drives one registered experiment b.N times, each on a
+// fresh runner, so every iteration simulates its points instead of
+// replaying a memo that an earlier iteration or benchmark filled.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, ok := experiments.ByID(id)
@@ -37,18 +40,17 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	o := benchOptions()
-	var insts uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(o)
+		r := sim.NewRunner(0)
+		rep, err := e.Run(r, o)
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += o.Insts * uint64(len(o.Benches))
 		if i == 0 && testing.Verbose() {
 			b.Log("\n" + rep.String())
 		}
 	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
 func BenchmarkFig1Lifetimes(b *testing.B)       { runExperiment(b, "fig1") }
@@ -73,7 +75,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	const insts = 50_000
 	s := sim.UseBased(64, 2, core.IndexFilteredRR)
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Execute("gzip", s, sim.Options{Insts: insts}); err != nil {
+		if _, err := sim.Execute(sim.DefaultWorkloads(), "gzip", s, sim.Options{Insts: insts}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +95,7 @@ func BenchmarkIntervalThroughput(b *testing.B) {
 	run := func(b *testing.B, o sim.Options) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Execute("gzip", s, o); err != nil {
+			if _, err := sim.Execute(sim.DefaultWorkloads(), "gzip", s, o); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,6 +39,7 @@ import (
 	"os"
 	"strings"
 
+	"regcache/cmd/internal/cli"
 	"regcache/internal/explore"
 	"regcache/internal/obs"
 	"regcache/internal/sim"
@@ -60,7 +61,7 @@ func main() {
 	if *prom != "" || *flight != "" || *explFile != "" {
 		exit := 0
 		if *prom != "" {
-			if err := checkProm(*prom, splitList(*require)); err != nil {
+			if err := checkProm(*prom, cli.SplitList(*require)); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", *prom, err)
 				exit = 1
 			} else {
@@ -68,7 +69,7 @@ func main() {
 			}
 		}
 		if *flight != "" {
-			if err := checkFlight(*flight, *requestID, splitList(*spans)); err != nil {
+			if err := checkFlight(*flight, *requestID, cli.SplitList(*spans)); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", *flight, err)
 				exit = 1
 			} else {
@@ -101,7 +102,7 @@ func main() {
 			exit = 1
 			continue
 		}
-		if err := checkMatrix(f, splitList(*benches), splitList(*schemeStr)); err != nil {
+		if err := checkMatrix(f, cli.SplitList(*benches), cli.SplitList(*schemeStr)); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			exit = 1
 			continue
@@ -391,14 +392,4 @@ func checkExplore(path string) error {
 	fmt.Printf("%s: ok (explore schema v%d, %s, %s, %d candidates, %d rungs, frontier %d)\n",
 		path, res.SchemaVersion, res.Generator, res.Strategy, len(res.Points), len(res.Rungs), len(res.Frontier))
 	return nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

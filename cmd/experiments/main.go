@@ -3,10 +3,10 @@
 // alongside the measured results. EXPERIMENTS.md is written from this
 // program's output.
 //
-// All simulations execute through internal/sim's shared run layer: a
-// bounded worker pool with a memoizing result cache, so shared baselines
-// (e.g. the 3-cycle monolithic file) simulate once per process no matter
-// how many figures reference them.
+// All simulations execute on one sim.Runner: a bounded worker pool with a
+// memoizing result cache, so shared baselines (e.g. the 3-cycle
+// monolithic file) simulate once per process no matter how many figures
+// reference them.
 //
 // Usage:
 //
@@ -25,14 +25,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
+	"regcache/cmd/internal/cli"
 	"regcache/internal/experiments"
-	"regcache/internal/obs"
 	"regcache/internal/sim"
-	"regcache/internal/store"
 )
 
 func main() {
@@ -41,55 +39,26 @@ func main() {
 		run      = flag.String("run", "", "comma-separated experiment ids (default: all; available: "+strings.Join(experiments.IDs(), ",")+")")
 		n        = flag.Uint64("n", 0, "per-benchmark instruction budget override")
 		verbose  = flag.Bool("v", false, "print run-layer metrics (jobs run, cache hits, wall time) per experiment")
-		workers  = flag.Int("workers", runtime.NumCPU(), "simulation worker pool size (must be >= 1)")
+		runFlags = cli.BindRunner(flag.CommandLine)
 		jsonOut  = flag.String("json", "", "write every simulated run to this file, machine-readable")
 		progress = flag.Duration("progress", 0, "print a heartbeat (jobs done, hit rate, ETA) to stderr at this interval (e.g. 5s; 0 = off)")
-		httpAddr = flag.String("http", "", "serve expvar metrics and pprof on this address (e.g. :6060)")
-		storeDir = flag.String("store", "", "durable result store directory; repeated suite runs replay finished points from disk")
 	)
 	flag.Parse()
 
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "invalid -workers %d: the pool needs at least one worker\n", *workers)
-		flag.Usage()
+	// One runner serves every experiment, so a point several figures
+	// share simulates once per process.
+	runner, closeRunner, err := runFlags.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	if err := sim.ConfigureDefaultRunner(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "configuring runner: %v\n", err)
-		os.Exit(2)
-	}
-	runner := sim.DefaultRunner()
-	var rstore *sim.ResultStore
-	if *storeDir != "" {
-		rs, err := sim.OpenResultStore(*storeDir, store.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opening store: %v\n", err)
-			os.Exit(2)
+	defer func() {
+		// Drain queued store appends and release the writer lock so an
+		// interrupted-then-rerun suite resumes from everything finished.
+		if err := closeRunner(); err != nil {
+			fmt.Fprintf(os.Stderr, "closing store: %v\n", err)
 		}
-		if err := runner.UseStore(rs); err != nil {
-			fmt.Fprintf(os.Stderr, "attaching store: %v\n", err)
-			os.Exit(2)
-		}
-		rstore = rs
-		defer func() {
-			// Drain queued store appends and release the writer lock so an
-			// interrupted-then-rerun suite resumes from everything finished.
-			runner.Close()
-			if err := rstore.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "closing store: %v\n", err)
-			}
-		}()
-	}
-
-	if *httpAddr != "" {
-		dbg, err := obs.StartDebugServer(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		runner.RegisterMetrics(obs.Default(), "runner")
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars (pprof at /debug/pprof/, metrics at /metrics)\n", dbg.Addr())
-	}
+	}()
 	if *progress > 0 {
 		stop := startHeartbeat(runner, *progress)
 		defer stop()
@@ -117,7 +86,7 @@ func main() {
 		}
 		start := time.Now()
 		before := runner.Stats()
-		rep, err := e.Run(opts)
+		rep, err := e.Run(runner, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)

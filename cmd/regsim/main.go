@@ -1,8 +1,8 @@
 // Command regsim runs a single register-caching simulation with full
 // control over the machine configuration and prints the run summary.
-// Simulations route through internal/sim's shared run layer, so -bench all
-// executes the suite on the bounded worker pool and repeated invocations
-// of the same configuration inside one process are memoized.
+// Simulations route through a sim.Runner, so -bench all executes the
+// suite on the bounded worker pool (-workers), and -store replays points
+// an earlier invocation finished.
 //
 // Observability: -json writes a schema-versioned machine-readable results
 // file, -trace captures a Chrome trace_event pipeline timeline (open in
@@ -29,54 +29,37 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
+	"regcache/cmd/internal/cli"
 	"regcache/internal/obs"
 	"regcache/internal/pipeline"
 	"regcache/internal/prog"
 	"regcache/internal/sim"
-	"regcache/internal/store"
 )
 
 func main() {
 	var (
 		bench     = flag.String("bench", "gzip", "benchmark name ("+strings.Join(prog.ProfileNames(), ",")+") or 'all'")
 		n         = flag.Uint64("n", 200_000, "instructions to simulate per benchmark")
-		intervals = flag.Int("intervals", 0, "simulate each run as this many checkpointed parallel intervals (0 = serial)")
-		warmup    = flag.Uint64("warmup", 0, "per-interval warm-up instructions, discarded from counters (0 = default when -intervals > 1)")
-		threads   = flag.Int("threads", 0, "multithreaded workload contexts per run (0/1 = single-context)")
-		ilv       = flag.Int("interleave", 0, "fetch-interleave granularity in instructions when -threads > 1 (0 = default)")
+		runOpts   = cli.BindRunOptions(flag.CommandLine)
+		runFlags  = cli.BindRunner(flag.CommandLine)
 		spec      = flag.String("scheme", "use:64x2:filtered", "register storage scheme spec, e.g. mono:3, lru:32x4:preg, twolevel:96:3, use:64x2:p2:oracle")
 		life      = flag.Bool("lifetimes", false, "report register lifetime phases and live-count distributions")
 		verbose   = flag.Bool("v", false, "print detailed cache statistics")
-		workers   = flag.Int("workers", runtime.NumCPU(), "simulation worker pool size (must be >= 1)")
 		jsonOut   = flag.String("json", "", "write machine-readable results to this file")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event pipeline timeline to this file (single benchmark only)")
 		cacheLog  = flag.String("cachelog", "", "write an NDJSON register cache event log to this file (single benchmark only)")
-		httpAddr  = flag.String("http", "", "serve expvar metrics and pprof on this address (e.g. :6060)")
-		storeDir  = flag.String("store", "", "durable result store directory; repeated runs are served from disk instead of re-simulating")
 	)
 	flag.Parse()
 
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "invalid -workers %d: the pool needs at least one worker\n", *workers)
-		flag.Usage()
-		os.Exit(2)
-	}
-	opts := sim.Options{
-		Insts:          *n,
-		Intervals:      *intervals,
-		WarmupInsts:    *warmup,
-		Threads:        *threads,
-		Interleave:     *ilv,
-		TrackLifetimes: *life,
-		TrackLive:      *life,
-	}
+	opts := runOpts.Options(*n)
+	opts.TrackLifetimes, opts.TrackLive = *life, *life
 	s, err := sim.ParseSchemeSpec(*spec)
 	if err == nil {
 		err = sim.ValidatePoint(s, opts)
@@ -84,34 +67,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "regsim: %v\n", err)
 		os.Exit(2)
-	}
-
-	if err := sim.ConfigureDefaultRunner(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "configuring runner: %v\n", err)
-		os.Exit(2)
-	}
-	var rstore *sim.ResultStore
-	if *storeDir != "" {
-		rs, err := sim.OpenResultStore(*storeDir, store.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opening store: %v\n", err)
-			os.Exit(2)
-		}
-		if err := sim.DefaultRunner().UseStore(rs); err != nil {
-			fmt.Fprintf(os.Stderr, "attaching store: %v\n", err)
-			os.Exit(2)
-		}
-		rstore = rs
-	}
-
-	if *httpAddr != "" {
-		dbg, err := obs.StartDebugServer(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		sim.DefaultRunner().RegisterMetrics(obs.Default(), "runner")
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars (pprof at /debug/pprof/, metrics at /metrics)\n", dbg.Addr())
 	}
 
 	benches := []string{*bench}
@@ -123,66 +78,67 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-trace/-cachelog require a single benchmark (trace files do not concatenate across runs)")
 		os.Exit(2)
 	}
-	if tracing && *intervals > 1 {
+	if tracing && opts.Intervals > 1 {
 		fmt.Fprintln(os.Stderr, "-trace/-cachelog require a serial run (trace events do not interleave across intervals); drop -intervals")
+		os.Exit(2)
+	}
+	r, closeRunner, err := runFlags.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "regsim: %v\n", err)
 		os.Exit(2)
 	}
 	direct := *life || tracing // paths that need the pipeline object itself
 	if !direct {
 		// Warm the pool so -bench all runs the suite in parallel; the
 		// in-order printing loop below then collects memoized results.
-		sim.Prefetch(benches, []sim.Scheme{s}, opts)
+		r.Prefetch(benches, []sim.Scheme{s}, opts)
 	}
 	start := time.Now()
 	var records []sim.RunRecord
 	exit := 0
 	for _, name := range benches {
-		var r pipeline.Result
+		var res pipeline.Result
 		var err error
 		if direct {
 			// Lifetime histograms and event traces live on the pipeline
 			// object, which the memoized Result cannot carry: build the
 			// pipeline directly.
-			r, err = runDirect(name, s, opts, *n, *tracePath, *cacheLog, *life, *verbose, *httpAddr != "")
+			res, err = runDirect(name, s, opts, *n, *tracePath, *cacheLog, *life, *verbose)
 			if err == nil {
-				records = append(records, sim.NewRunRecord(name, s, opts, r))
+				records = append(records, sim.NewRunRecord(name, s, opts, res))
 				continue
 			}
 		} else {
-			r, err = sim.Run(name, s, opts)
+			res, err = r.Run(context.Background(), name, s, opts)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			exit = 2
 			continue
 		}
-		records = append(records, sim.NewRunRecord(name, s, opts, r))
-		printRun(name, r, s, *verbose)
+		records = append(records, sim.NewRunRecord(name, s, opts, res))
+		printRun(name, res, s, *verbose)
 		fmt.Println()
 	}
 	if *jsonOut != "" {
-		f := sim.NewResultsFile("regsim", records, sim.DefaultRunner(), time.Since(start))
+		f := sim.NewResultsFile("regsim", records, r, time.Since(start))
 		if err := sim.WriteResults(*jsonOut, f); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			exit = 2
 		}
 	}
-	if rstore != nil {
-		// os.Exit skips defers: drain the runner's store flush queue and
-		// release the writer lock explicitly so this run's results are on
-		// disk for the next invocation.
-		sim.DefaultRunner().Close()
-		if err := rstore.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "closing store: %v\n", err)
-			exit = 2
-		}
+	// os.Exit skips defers: close the runner here so this run's results
+	// are on disk for the next invocation.
+	if err := closeRunner(); err != nil {
+		fmt.Fprintf(os.Stderr, "closing store: %v\n", err)
+		exit = 2
 	}
 	os.Exit(exit)
 }
 
 // runDirect executes one benchmark on a directly constructed pipeline so
 // tracers and lifetime histograms can attach, then prints the summary.
-func runDirect(name string, s sim.Scheme, opts sim.Options, n uint64, tracePath, cacheLog string, life, verbose, httpOn bool) (pipeline.Result, error) {
+func runDirect(name string, s sim.Scheme, opts sim.Options, n uint64, tracePath, cacheLog string, life, verbose bool) (pipeline.Result, error) {
 	pl, err := sim.RunPipeline(name, s, opts)
 	if err != nil {
 		return pipeline.Result{}, err
@@ -209,9 +165,7 @@ func runDirect(name string, s sim.Scheme, opts sim.Options, n uint64, tracePath,
 		tracers = append(tracers, clog)
 	}
 	pl.SetTracer(obs.Combine(tracers...))
-	if httpOn {
-		pl.RegisterMetrics(obs.Default(), "pipeline")
-	}
+	pl.RegisterMetrics(obs.Default(), "pipeline") // served when -http is set
 	r := pl.Run(n)
 	if chrome != nil {
 		if err := chrome.Close(); err != nil {

@@ -21,7 +21,9 @@ import (
 	"strconv"
 	"strings"
 
+	"regcache/cmd/internal/cli"
 	"regcache/internal/explore"
+	"regcache/internal/sim"
 )
 
 // readAll drains and closes a response body.
@@ -68,8 +70,8 @@ func cmdExplore(args []string) error {
 	if spec.Space.Ways, err = parseAxis(*ways); err != nil {
 		return invalidRequest{fmt.Errorf("-ways: %w", err)}
 	}
-	spec.Space.Kinds = splitList(*kinds)
-	spec.Space.Index = splitList(*index)
+	spec.Space.Kinds = cli.SplitList(*kinds)
+	spec.Space.Index = cli.SplitList(*index)
 	if *maxPRegs != "" {
 		ax, err := parseAxis(*maxPRegs)
 		if err != nil {
@@ -102,12 +104,16 @@ func cmdExplore(args []string) error {
 	if err := spec.WithDefaults().Validate(); err != nil {
 		return invalidRequest{err}
 	}
+	benchList := cli.SplitList(*benches)
+	if _, err := sim.ResolveBenches(benchList); err != nil {
+		return invalidRequest{err}
+	}
 	req := struct {
 		explore.Spec
 		Benches    []string `json:"benches"`
 		Async      bool     `json:"async,omitempty"`
 		DeadlineMS int64    `json:"deadline_ms,omitempty"`
-	}{Spec: spec, Benches: splitList(*benches), Async: *async}
+	}{Spec: spec, Benches: benchList, Async: *async}
 	if *deadline > 0 {
 		req.DeadlineMS = deadline.Milliseconds()
 	}
@@ -211,7 +217,7 @@ func parseAxis(s string) (explore.Axis, error) {
 		return explore.Axis{Min: vals[0], Max: vals[1], Step: vals[2]}, nil
 	}
 	var values []int
-	for _, p := range splitList(s) {
+	for _, p := range cli.SplitList(s) {
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return explore.Axis{}, fmt.Errorf("bad axis value %q", p)

@@ -84,14 +84,16 @@ func TestCmdExploreEndToEnd(t *testing.T) {
 // before any request is sent.
 func TestCmdExploreClientValidation(t *testing.T) {
 	cases := [][]string{
-		{},                                    // missing -entries
-		{"-entries", "16:64"},                 // malformed range
-		{"-entries", "x,y"},                   // malformed list
-		{"-entries", "16", "-maxpregs", "a"},  // malformed optional axis
-		{"-entries", "16", "-maxuse", "1:2"},  // malformed optional axis
-		{"-entries", "16", "-strategy", "x"},  // unknown strategy
-		{"-entries", "64:16:8"},               // inverted range
-		{"-entries", "16", "-kinds", "quake"}, // unknown kind
+		{},                                              // missing -entries
+		{"-entries", "16:64"},                           // malformed range
+		{"-entries", "x,y"},                             // malformed list
+		{"-entries", "16", "-maxpregs", "a"},            // malformed optional axis
+		{"-entries", "16", "-maxuse", "1:2"},            // malformed optional axis
+		{"-entries", "16", "-strategy", "x"},            // unknown strategy
+		{"-entries", "64:16:8"},                         // inverted range
+		{"-entries", "16", "-kinds", "quake"},           // unknown kind
+		{"-entries", "16", "-benches", "gzip,mcf,gzip"}, // repeated benchmark
+		{"-entries", "16", "-benches", "quake"},         // unknown benchmark
 	}
 	for _, args := range cases {
 		err := cmdExplore(append([]string{"-server", "http://127.0.0.1:1"}, args...))

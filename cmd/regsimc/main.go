@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"regcache/cmd/internal/cli"
 	"regcache/internal/fleet"
 	"regcache/internal/obs"
 	"regcache/internal/sim"
@@ -135,10 +136,7 @@ func cmdSubmit(args []string) error {
 	benches := fs.String("benches", "gzip", `comma-separated benchmarks, or "all"`)
 	schemes := fs.String("schemes", "use:64x2:filtered", "comma-separated scheme specs")
 	insts := fs.Uint64("insts", 0, "per-benchmark instruction budget (0 = server default)")
-	intervals := fs.Int("intervals", 0, "checkpointed parallel intervals per run (0 = serial)")
-	warmup := fs.Uint64("warmup", 0, "per-interval warm-up instructions (0 = server default when -intervals > 1)")
-	threads := fs.Int("threads", 0, "multithreaded workload contexts per run (0/1 = single-context)")
-	ilv := fs.Int("interleave", 0, "fetch-interleave granularity when -threads > 1 (0 = server default)")
+	runOpts := cli.BindRunOptions(fs)
 	deadline := fs.Duration("deadline", 0, "per-request deadline (0 = server default)")
 	async := fs.Bool("async", false, "submit asynchronously and print the job ID")
 	timings := fs.Bool("timings", false, "request per-point timing breakdowns (queue wait, store lookup, simulate, stitch)")
@@ -148,13 +146,13 @@ func cmdSubmit(args []string) error {
 		return err
 	}
 	req := sim.SweepRequest{
-		Benches:    splitList(*benches),
-		Schemes:    splitList(*schemes),
+		Benches:    cli.SplitList(*benches),
+		Schemes:    cli.SplitList(*schemes),
 		Async:      *async,
 		DeadlineMS: deadline.Milliseconds(),
 		Timings:    *timings,
 	}
-	req.SetOptions(sim.Options{Insts: *insts, Intervals: *intervals, WarmupInsts: *warmup, Threads: *threads, Interleave: *ilv})
+	req.SetOptions(runOpts.Options(*insts))
 	// Resolve client-side for fast feedback: the server runs the same
 	// resolve step, so a request it would refuse as malformed is never
 	// sent.
@@ -166,7 +164,7 @@ func cmdSubmit(args []string) error {
 	// scatters the sweep across the endpoints itself (consistent-hash
 	// partitioning, hedged stragglers) instead of handing one node the
 	// whole matrix.
-	if servers := splitList(*server); len(servers) > 1 {
+	if servers := cli.SplitList(*server); len(servers) > 1 {
 		if *async {
 			return invalidRequest{fmt.Errorf("-async is not supported with multiple -server endpoints (the client gathers synchronously)")}
 		}
@@ -423,14 +421,4 @@ func timingSummary(t *sim.TimingRecord) string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -384,13 +384,16 @@ func TestSubmitRejectsBeforeSending(t *testing.T) {
 		if len(req.SchemeRecords) > 0 {
 			continue
 		}
-		schemes := "use:16x2"
+		benches, schemes := "gzip", "use:16x2"
+		if len(req.Benches) > 0 {
+			benches = strings.Join(req.Benches, ",")
+		}
 		if len(req.Schemes) > 0 {
 			schemes = strings.Join(req.Schemes, ",")
 		}
 		for _, server := range []string{ts.URL, ts.URL + "," + ts.URL} {
 			err := cmdSubmit([]string{
-				"-server", server, "-benches", "gzip", "-schemes", schemes,
+				"-server", server, "-benches", benches, "-schemes", schemes,
 				"-intervals", strconv.Itoa(req.Intervals),
 				"-threads", strconv.Itoa(req.Threads),
 				"-interleave", strconv.Itoa(req.Interleave),

@@ -54,10 +54,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"regcache/cmd/internal/cli"
 	"regcache/internal/obs"
 	"regcache/internal/serve"
 	"regcache/internal/sim"
@@ -92,7 +92,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	peerList := splitList(*peers)
+	peerList := cli.SplitList(*peers)
 	if (len(peerList) > 0) != (*self != "") {
 		fmt.Fprintln(os.Stderr, "-peers and -self must be set together")
 		flag.Usage()
@@ -132,8 +132,6 @@ func main() {
 		SelfURL:         *self,
 		Store:           rstore,
 		FleetHedgeAfter: *hedgeAfter,
-		Flight:          obs.DefaultFlight(),
-		Logger:          logger,
 	})
 	srv.RegisterMetrics(obs.Default(), "serve")
 	obs.Default().Publish("regcache")
@@ -175,17 +173,6 @@ func main() {
 		closeStore(rstore)
 		os.Exit(1)
 	}
-}
-
-// splitList splits a comma-separated flag value, dropping empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func closeStore(rs *sim.ResultStore) {

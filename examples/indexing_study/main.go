@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,8 @@ import (
 func main() {
 	const bench = "bzip2" // long loops, heavy set pressure
 	const insts = 200_000
+	runner := sim.NewRunner(0)
+	defer runner.Close()
 
 	indexes := []core.IndexScheme{
 		core.IndexPReg, core.IndexRoundRobin, core.IndexMinimum, core.IndexFilteredRR,
@@ -30,7 +33,7 @@ func main() {
 		tb := stats.NewTable("index", "IPC", "conflict misses/operand", "total miss rate")
 		var basePReg float64
 		for _, idx := range indexes {
-			r, err := sim.Run(bench, sim.UseBased(64, ways, idx), sim.Options{Insts: insts})
+			r, err := runner.Run(context.Background(), bench, sim.UseBased(64, ways, idx), sim.Options{Insts: insts})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,8 @@ import (
 func main() {
 	const bench = "twolf"
 	const insts = 200_000
+	runner := sim.NewRunner(0)
+	defer runner.Close()
 
 	schemes := []struct {
 		name string
@@ -47,7 +50,7 @@ func main() {
 		"initial writes filtered",
 	}
 	for _, s := range schemes {
-		r, err := sim.Run(bench, s.sc, sim.Options{Insts: insts})
+		r, err := runner.Run(context.Background(), bench, s.sc, sim.Options{Insts: insts})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,10 +18,13 @@ import (
 func main() {
 	const bench = "gzip"
 	const insts = 200_000
+	r := sim.NewRunner(0)
+	defer r.Close()
+	ctx := context.Background()
 
 	// The baseline: no register cache, 3-cycle monolithic register file
 	// with a two-stage bypass network (Section 5.1).
-	baseline, err := sim.Run(bench, sim.Monolithic(3), sim.Options{Insts: insts})
+	baseline, err := r.Run(ctx, bench, sim.Monolithic(3), sim.Options{Insts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +32,7 @@ func main() {
 	// The paper's design point (Section 5.3): 64 entries, 2 ways,
 	// use-based management, filtered round-robin indexing, 2-cycle
 	// backing file.
-	cached, err := sim.Run(bench, sim.UseBased(64, 2, core.IndexFilteredRR), sim.Options{Insts: insts})
+	cached, err := r.Run(ctx, bench, sim.UseBased(64, 2, core.IndexFilteredRR), sim.Options{Insts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}

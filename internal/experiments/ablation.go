@@ -14,7 +14,7 @@ import (
 // below), the unknown-prediction default (1 is best: most values are used
 // once), and the fill default (0 is best: any given use is most likely the
 // last). These are the ablations behind the chosen design point.
-func Sec53(o Options) (*Report, error) {
+func Sec53(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "sec53",
@@ -40,8 +40,8 @@ func Sec53(o Options) (*Report, error) {
 	for _, f := range []int{0, 1, 2} {
 		all = append(all, mkScheme(7, 1, f))
 	}
-	prefetch(o, all...)
-	ref, err := sim.RunSuite(o.Benches, base, sim.Options{Insts: o.Insts})
+	prefetch(runner, o, all...)
+	ref, err := runner.RunSuite(o.Benches, base, sim.Options{Insts: o.Insts})
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func Sec53(o Options) (*Report, error) {
 	// Max-use sweep, with unknown=1 and fill=0 held at their defaults.
 	tb := stats.NewTable("max use", "speedup vs maxuse=7", "miss rate")
 	for _, m := range []int{2, 3, 5, 7, 12} {
-		sr, err := sim.RunSuite(o.Benches, mkScheme(m, 1, 0), sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, mkScheme(m, 1, 0), sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func Sec53(o Options) (*Report, error) {
 
 	tb2 := stats.NewTable("unknown default", "speedup vs default=1", "miss rate")
 	for _, u := range []int{1, 2, 3} {
-		sr, err := sim.RunSuite(o.Benches, mkScheme(7, u, 0), sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, mkScheme(7, u, 0), sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func Sec53(o Options) (*Report, error) {
 
 	tb3 := stats.NewTable("fill default", "speedup vs default=0", "miss rate")
 	for _, f := range []int{0, 1, 2} {
-		sr, err := sim.RunSuite(o.Benches, mkScheme(7, 1, f), sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, mkScheme(7, 1, f), sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +87,7 @@ func Sec53(o Options) (*Report, error) {
 // of the design point to the backing file latency — the modeling detail
 // the paper credits for its lower register-caching advantage versus prior
 // work.
-func Sec52(o Options) (*Report, error) {
+func Sec52(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "sec52",
@@ -98,12 +98,12 @@ func Sec52(o Options) (*Report, error) {
 	for _, lat := range []int{1, 2, 3, 4} {
 		all = append(all, sim.UseBased(64, 2, core.IndexFilteredRR).WithBacking(lat))
 	}
-	prefetch(o, all...)
+	prefetch(runner, o, all...)
 	tb := stats.NewTable("backing latency", "speedup vs 1-cycle backing", "miss events/1k insts", "port-wait cycles/1k insts", "suppressed issue cycles/1k")
 	var ref *sim.SuiteResult
 	for _, lat := range []int{1, 2, 3, 4} {
 		sc := sim.UseBased(64, 2, core.IndexFilteredRR).WithBacking(lat)
-		sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func Sec52(o Options) (*Report, error) {
 // random-replacement cache to perfect a priori use knowledge (the paper's
 // Section 3 motivation). It bounds how much of the remaining miss rate is
 // predictor error versus structural (wrong-path uses, fill defaults).
-func Oracle(o Options) (*Report, error) {
+func Oracle(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "oracle",
@@ -153,14 +153,14 @@ func Oracle(o Options) (*Report, error) {
 	for _, s := range schemes {
 		all = append(all, s.sc)
 	}
-	prefetch(o, all...)
-	base, err := sim.RunSuite(o.Benches, sim.LRU(64, 2, core.IndexRoundRobin), sim.Options{Insts: o.Insts})
+	prefetch(runner, o, all...)
+	base, err := runner.RunSuite(o.Benches, sim.LRU(64, 2, core.IndexRoundRobin), sim.Options{Insts: o.Insts})
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("management", "speedup vs LRU", "miss rate", "cached-never-read")
 	for _, s := range schemes {
-		sr, err := sim.RunSuite(o.Benches, s.sc, sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, s.sc, sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}

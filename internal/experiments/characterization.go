@@ -24,7 +24,7 @@ var charNames = []string{"LRU", "non-bypass", "use-based"}
 // Fig8 reproduces Figure 8: per-operand miss rates broken into filtered
 // (initial write avoided), capacity, and conflict components, under
 // standard indexing and under decoupled (filtered round-robin) indexing.
-func Fig8(o Options) (*Report, error) {
+func Fig8(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig8",
@@ -41,13 +41,13 @@ func Fig8(o Options) (*Report, error) {
 		sim.NonBypass(64, 2, core.IndexFilteredRR),
 		sim.UseBased(64, 2, core.IndexFilteredRR),
 	}
-	prefetch(o, append(append([]sim.Scheme{}, std...), dec...)...)
+	prefetch(runner, o, append(append([]sim.Scheme{}, std...), dec...)...)
 	tb := stats.NewTable("scheme", "indexing", "filtered", "capacity", "conflict", "total")
 	conflicts := map[string][2]float64{}
 	for i := range charNames {
 		var conf [2]float64
 		for j, sc := range []sim.Scheme{std[i], dec[i]} {
-			sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+			sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 			if err != nil {
 				return nil, err
 			}
@@ -77,17 +77,17 @@ func Fig8(o Options) (*Report, error) {
 
 // Fig9 reproduces Figure 9: average accesses per cycle by type and
 // structure for the three caching schemes.
-func Fig9(o Options) (*Report, error) {
+func Fig9(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig9",
 		Title: "Average access bandwidth (per cycle, 64-entry 2-way)",
 		Paper: "write filtering lowers cache write bandwidth versus LRU; register file read bandwidth is proportional to the miss rate; the file sees all writes (Figure 9)",
 	}
-	prefetch(o, charSchemes()...)
+	prefetch(runner, o, charSchemes()...)
 	tb := stats.NewTable("scheme", "cache-read", "cache-write", "file-read", "file-write")
 	for i, sc := range charSchemes() {
-		sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -104,18 +104,18 @@ func Fig9(o Options) (*Report, error) {
 
 // Fig10 reproduces Figure 10: the fractions of cached values never read,
 // of initial writes filtered, and of values never cached at all.
-func Fig10(o Options) (*Report, error) {
+func Fig10(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig10",
 		Title: "Filtering effects (64-entry 2-way)",
 		Paper: "use-based filtering caches fewer dead values than LRU while filtering a larger share of initial writes than non-bypass; use-based shows the lowest cached-never-read fraction (Figure 10)",
 	}
-	prefetch(o, charSchemes()...)
+	prefetch(runner, o, charSchemes()...)
 	tb := stats.NewTable("scheme", "cached-never-read", "writes-filtered", "never-cached")
 	vals := map[string][3]float64{}
 	for i, sc := range charSchemes() {
-		sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -136,14 +136,14 @@ func Fig10(o Options) (*Report, error) {
 
 // Table2 reproduces Table 2: reads per cached value, times each value is
 // cached, mean cache occupancy, and mean cache entry lifetime.
-func Table2(o Options) (*Report, error) {
+func Table2(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "table2",
 		Title: "Register cache metrics (64-entry 2-way)",
 		Paper: "LRU 0.67 reads/cached value, 1.09 cache count, 36.7 occupancy, 25.2-cycle lifetime; use-based 1.67, 0.44, 26.6, 43.6 (Table 2)",
 	}
-	prefetch(o, charSchemes()...)
+	prefetch(runner, o, charSchemes()...)
 	tb := stats.NewTable("metric", "LRU", "non-bypass", "use-based")
 	rows := [4][]string{
 		{"reads per cached value"},
@@ -152,7 +152,7 @@ func Table2(o Options) (*Report, error) {
 		{"cache entry lifetime (cycles)"},
 	}
 	for _, sc := range charSchemes() {
-		sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -173,14 +173,14 @@ func Table2(o Options) (*Report, error) {
 // operands supplied by the bypass network (57%), the fraction of
 // replacement victims with zero remaining uses (84%), and the degree-of-use
 // predictor accuracy (97%).
-func Sec3(o Options) (*Report, error) {
+func Sec3(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "sec3",
 		Title: "Use-based management vital statistics",
 		Paper: "bypass supplies 57% of operands; 84% of use-based victims have zero remaining uses; degree-of-use prediction is 97% accurate (Section 3)",
 	}
-	sr, err := sim.RunSuite(o.Benches, sim.UseBased(64, 2, core.IndexFilteredRR), sim.Options{Insts: o.Insts})
+	sr, err := runner.RunSuite(o.Benches, sim.UseBased(64, 2, core.IndexFilteredRR), sim.Options{Insts: o.Insts})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func claimOpts() sim.Options { return sim.Options{Insts: 80_000} }
 
 func suite(t *testing.T, s sim.Scheme) *sim.SuiteResult {
 	t.Helper()
-	sr, err := sim.RunSuite(claimBenches(), s, claimOpts())
+	sr, err := testRunner.RunSuite(claimBenches(), s, claimOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

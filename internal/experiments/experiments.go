@@ -76,11 +76,13 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Experiment is one registered experiment.
+// Experiment is one registered experiment. Run simulates through the
+// given runner, so experiments that share a runner share its memo: a
+// baseline several figures normalize against simulates once.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Options) (*Report, error)
+	Run   func(*sim.Runner, Options) (*Report, error)
 }
 
 // All lists every experiment in paper order.
@@ -121,12 +123,12 @@ func IDs() []string {
 }
 
 // prefetch submits every scheme×benchmark simulation of an experiment to
-// the shared run layer (internal/sim's memoizing worker pool) before the
-// serial collection loops, so the pool overlaps the work and any triple
-// another experiment already ran — the monolithic baselines especially —
-// is a cache hit instead of a re-simulation.
-func prefetch(o Options, schemes ...sim.Scheme) {
-	sim.Prefetch(o.Benches, schemes, sim.Options{Insts: o.Insts})
+// the runner's memoizing worker pool before the serial collection loops,
+// so the pool overlaps the work and any triple another experiment already
+// ran on the same runner — the monolithic baselines especially — is a
+// cache hit instead of a re-simulation.
+func prefetch(runner *sim.Runner, o Options, schemes ...sim.Scheme) {
+	runner.Prefetch(o.Benches, schemes, sim.Options{Insts: o.Insts})
 }
 
 // fmtF renders a float compactly.

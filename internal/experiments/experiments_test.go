@@ -7,6 +7,10 @@ import (
 	"regcache/internal/sim"
 )
 
+// testRunner serves the tests that do not count simulations, so the
+// claims and figures that share a point simulate it once per test binary.
+var testRunner = sim.NewRunner(0)
+
 // tinyOptions keeps experiment tests fast: two benchmarks, small budget.
 func tinyOptions() Options {
 	return Options{Insts: 15_000, Benches: []string{"gzip", "twolf"}}
@@ -63,7 +67,7 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 			o.Insts = 8_000
 			o.Benches = []string{"gzip"}
 		}
-		rep, err := e.Run(o)
+		rep, err := e.Run(testRunner, o)
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue
@@ -77,8 +81,8 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 	}
 }
 
-// Running the same experiment twice in-process must serve the second run
-// entirely from the shared run layer's memo — at least one cache hit per
+// Running the same experiment twice on one runner must serve the second
+// run entirely from the runner's memo — at least one cache hit per
 // repeated (scheme, bench, insts) triple, zero new simulations — and
 // produce a byte-identical Report.
 func TestExperimentRerunIsMemoizedAndIdentical(t *testing.T) {
@@ -87,16 +91,18 @@ func TestExperimentRerunIsMemoizedAndIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("fig8 missing")
 	}
-	r1, err := e.Run(o)
+	r := sim.NewRunner(0)
+	defer r.Close()
+	r1, err := e.Run(r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := sim.DefaultRunner().Stats()
-	r2, err := e.Run(o)
+	mid := r.Stats()
+	r2, err := e.Run(r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := sim.DefaultRunner().Stats().Sub(mid)
+	delta := r.Stats().Sub(mid)
 	if delta.JobsRun != 0 {
 		t.Errorf("second run re-simulated %d jobs, want 0", delta.JobsRun)
 	}
@@ -111,22 +117,24 @@ func TestExperimentRerunIsMemoizedAndIdentical(t *testing.T) {
 
 // Experiments that share schemes (fig9/fig10/table2/sec3 all use the
 // Section 5.4 characterization design points) must share simulations: the
-// baseline is computed once per process, not once per figure.
+// baseline is computed once per runner, not once per figure.
 func TestExperimentsShareSimulations(t *testing.T) {
 	o := tinyOptions()
+	r := sim.NewRunner(0)
+	defer r.Close()
 	for _, id := range []string{"fig9", "fig10", "table2"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("%s missing", id)
 		}
-		before := sim.DefaultRunner().Stats()
-		if _, err := e.Run(o); err != nil {
+		before := r.Stats()
+		if _, err := e.Run(r, o); err != nil {
 			t.Fatal(err)
 		}
 		if id == "fig9" {
 			continue // first of the group may simulate
 		}
-		if delta := sim.DefaultRunner().Stats().Sub(before); delta.JobsRun != 0 {
+		if delta := r.Stats().Sub(before); delta.JobsRun != 0 {
 			t.Errorf("%s re-simulated %d jobs despite fig9 having run the same schemes", id, delta.JobsRun)
 		}
 	}

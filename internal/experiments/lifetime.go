@@ -15,14 +15,14 @@ import (
 //
 // These two experiments read lifetime histograms off the pipeline object
 // after the run, which a memoized pipeline.Result cannot carry, so they
-// deliberately bypass the shared run layer (sim.RunPipeline, not sim.Run).
+// deliberately bypass the runner (sim.RunPipeline, not Runner.RunSuite).
 func lifetimeScheme() sim.Scheme {
 	return sim.UseBased(64, 2, core.IndexFilteredRR)
 }
 
 // Fig1 reproduces Figure 1: the median lengths of the empty, live, and
 // dead phases of physical register lifetimes, averaged over the suite.
-func Fig1(o Options) (*Report, error) {
+func Fig1(_ *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig1",
@@ -54,7 +54,7 @@ func Fig1(o Options) (*Report, error) {
 // Fig2 reproduces Figure 2: cumulative distributions of simultaneously
 // allocated physical registers and simultaneously live values, with the
 // 90th-percentile live count the paper highlights (56 for SPECint 2000).
-func Fig2(o Options) (*Report, error) {
+func Fig2(_ *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig2",

@@ -14,7 +14,7 @@ var fig11Sizes = []int{16, 24, 32, 48, 64, 96, 128}
 // Fig11 reproduces Figure 11: performance versus cache/L1 size for the
 // three caching schemes (two-way), a four-way use-based cache, and the
 // two-level register file whose L1 holds the cache size plus 32 entries.
-func Fig11(o Options) (*Report, error) {
+func Fig11(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig11",
@@ -42,14 +42,14 @@ func Fig11(o Options) (*Report, error) {
 			}
 		}
 	}
-	prefetch(o, all...)
+	prefetch(runner, o, all...)
 
-	base, err := sim.RunSuite(o.Benches, sim.Monolithic(3), sim.Options{Insts: o.Insts})
+	base, err := runner.RunSuite(o.Benches, sim.Monolithic(3), sim.Options{Insts: o.Insts})
 	if err != nil {
 		return nil, err
 	}
 	for _, lat := range []int{1, 2} {
-		sr, err := sim.RunSuite(o.Benches, sim.Monolithic(lat), sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sim.Monolithic(lat), sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +69,7 @@ func Fig11(o Options) (*Report, error) {
 				row = append(row, "-")
 				continue
 			}
-			sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+			sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +99,7 @@ func Fig11(o Options) (*Report, error) {
 // Fig12 reproduces Figure 12: performance versus the backing file latency
 // (L2 latency for the two-level scheme), 64-entry caches and a 96-entry
 // two-level L1.
-func Fig12(o Options) (*Report, error) {
+func Fig12(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig12",
@@ -115,14 +115,14 @@ func Fig12(o Options) (*Report, error) {
 			sim.UseBased(64, 2, core.IndexFilteredRR).WithBacking(lat),
 			sim.TwoLevel(96, lat))
 	}
-	prefetch(o, all...)
+	prefetch(runner, o, all...)
 
-	base, err := sim.RunSuite(o.Benches, sim.Monolithic(3), sim.Options{Insts: o.Insts})
+	base, err := runner.RunSuite(o.Benches, sim.Monolithic(3), sim.Options{Insts: o.Insts})
 	if err != nil {
 		return nil, err
 	}
 	for _, lat := range []int{1, 2} {
-		sr, err := sim.RunSuite(o.Benches, sim.Monolithic(lat), sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sim.Monolithic(lat), sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func Fig12(o Options) (*Report, error) {
 			{"two-level(96)", sim.TwoLevel(96, lat)},
 		}
 		for _, s := range schemes {
-			sr, err := sim.RunSuite(o.Benches, s.sc, sim.Options{Insts: o.Insts})
+			sr, err := runner.RunSuite(o.Benches, s.sc, sim.Options{Insts: o.Insts})
 			if err != nil {
 				return nil, err
 			}

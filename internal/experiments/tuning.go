@@ -15,7 +15,7 @@ var fig6Sizes = []int{16, 24, 32, 48, 64, 96, 128}
 // versus size and associativity under standard (physical-register)
 // indexing, with the no-cache baselines at register file latencies 1-3
 // superimposed.
-func Fig6(o Options) (*Report, error) {
+func Fig6(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig6",
@@ -37,14 +37,14 @@ func Fig6(o Options) (*Report, error) {
 			all = append(all, sim.UseBased(size, a.ways(size), core.IndexPReg))
 		}
 	}
-	prefetch(o, all...)
+	prefetch(runner, o, all...)
 
-	base, err := sim.RunSuite(o.Benches, sim.Monolithic(3), sim.Options{Insts: o.Insts})
+	base, err := runner.RunSuite(o.Benches, sim.Monolithic(3), sim.Options{Insts: o.Insts})
 	if err != nil {
 		return nil, err
 	}
 	for _, lat := range []int{1, 2} {
-		sr, err := sim.RunSuite(o.Benches, sim.Monolithic(lat), sim.Options{Insts: o.Insts})
+		sr, err := runner.RunSuite(o.Benches, sim.Monolithic(lat), sim.Options{Insts: o.Insts})
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func Fig6(o Options) (*Report, error) {
 		row := []string{fmt.Sprint(size)}
 		for _, a := range assocs {
 			sc := sim.UseBased(size, a.ways(size), core.IndexPReg)
-			sr, err := sim.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
+			sr, err := runner.RunSuite(o.Benches, sc, sim.Options{Insts: o.Insts})
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +85,7 @@ func Fig6(o Options) (*Report, error) {
 // Fig7 reproduces Figure 7: the decoupled indexing policies (round-robin,
 // minimum, filtered round-robin) against standard preg indexing on
 // use-based caches of one to four ways.
-func Fig7(o Options) (*Report, error) {
+func Fig7(runner *sim.Runner, o Options) (*Report, error) {
 	o = o.withDefaults()
 	r := &Report{
 		ID:    "fig7",
@@ -99,7 +99,7 @@ func Fig7(o Options) (*Report, error) {
 			all = append(all, sim.UseBased(64, ways, idx))
 		}
 	}
-	prefetch(o, all...)
+	prefetch(runner, o, all...)
 	tb := stats.NewTable("ways", "preg", "round-robin", "minimum", "filtered")
 	gains := map[int]map[core.IndexScheme]float64{}
 	for _, ways := range []int{1, 2, 4} {
@@ -107,7 +107,7 @@ func Fig7(o Options) (*Report, error) {
 		gains[ways] = map[core.IndexScheme]float64{}
 		var base *sim.SuiteResult
 		for _, idx := range indexes {
-			sr, err := sim.RunSuite(o.Benches, sim.UseBased(64, ways, idx), sim.Options{Insts: o.Insts})
+			sr, err := runner.RunSuite(o.Benches, sim.UseBased(64, ways, idx), sim.Options{Insts: o.Insts})
 			if err != nil {
 				return nil, err
 			}

@@ -62,62 +62,31 @@ func (e *BusyError) Error() string {
 // draining peer.
 type LocalExec func(ctx context.Context, part sim.Sweep) (*sim.ResultsFile, error)
 
-// Config sizes a Coordinator. Zero values select the defaults.
+// Config describes a Coordinator's fleet.
 type Config struct {
 	Endpoints []string  // every node of the fleet (identical strings on every member)
 	Self      string    // endpoint executed via Local instead of HTTP ("" = pure client)
 	Local     LocalExec // in-process executor for Self's partitions
 
-	Replicas int // vnodes per endpoint; default DefaultReplicas
-
 	// HedgeAfter is the straggler deadline used until the latency
 	// histogram has enough samples to derive one; default 2s.
 	HedgeAfter time.Duration
-	// HedgeQuantile (default 0.99) and HedgeMult (default 3) derive the
-	// learned deadline: quantile of observed per-point partition latency,
-	// times the partition's point count, times the multiplier.
-	HedgeQuantile float64
-	HedgeMult     float64
-
-	BusyRetries int           // same-node retries on a 429 before advancing; default 2
-	MaxBusyWait time.Duration // cap on an honored Retry-After; default 5s
-
-	StoreProbeTimeout time.Duration // per-point peer store GET budget; default 1s
-
-	Client    *http.Client // default http.DefaultClient
-	Generator string       // merged document's generator field; default "regsimd"
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = 2 * time.Second
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.99
-	}
-	if c.HedgeMult <= 0 {
-		c.HedgeMult = 3
-	}
-	if c.BusyRetries <= 0 {
-		c.BusyRetries = 2
-	}
-	if c.MaxBusyWait <= 0 {
-		c.MaxBusyWait = 5 * time.Second
-	}
-	if c.StoreProbeTimeout <= 0 {
-		c.StoreProbeTimeout = time.Second
-	}
-	if c.Client == nil {
-		c.Client = http.DefaultClient
-	}
-	if c.Generator == "" {
-		c.Generator = "regsimd"
-	}
-	return c
-}
+// The fabric's fixed tuning.
+const (
+	// hedgeQuantile and hedgeMult derive the learned straggler deadline:
+	// the quantile of observed per-point partition latency, times the
+	// partition's point count, times the multiplier.
+	hedgeQuantile = 0.99
+	hedgeMult     = 3
+
+	busyRetries       = 2               // same-node retries on a 429 before advancing
+	maxBusyWait       = 5 * time.Second // cap on an honored Retry-After
+	storeProbeTimeout = time.Second     // per-point peer store GET budget
+
+	generator = "regsimd" // the merged document's generator field
+)
 
 // Stats is a snapshot of the coordinator's counters.
 type Stats struct {
@@ -151,14 +120,16 @@ type Coordinator struct {
 // New builds a coordinator over the configured fleet. Self (when set) is
 // added to the endpoint set automatically.
 func New(cfg Config) *Coordinator {
-	cfg = cfg.withDefaults()
+	if cfg.HedgeAfter <= 0 {
+		cfg.HedgeAfter = 2 * time.Second
+	}
 	eps := cfg.Endpoints
 	if cfg.Self != "" {
 		eps = append(append([]string(nil), eps...), cfg.Self)
 	}
 	return &Coordinator{
 		cfg:  cfg,
-		ring: NewRing(eps, cfg.Replicas),
+		ring: NewRing(eps),
 		lat:  stats.NewHistogram(),
 	}
 }
@@ -315,7 +286,7 @@ func (c *Coordinator) Run(ctx context.Context, spec sim.Sweep, reqID string) (*s
 	}
 
 	msp := sp.StartChild("merge")
-	file, err := sim.MergeResultsFiles(c.cfg.Generator, order, partials)
+	file, err := sim.MergeResultsFiles(generator, order, partials)
 	msp.SetError(err)
 	msp.End()
 	return file, err
@@ -350,8 +321,8 @@ func (c *Coordinator) hedgeDelay(n int) time.Duration {
 	if c.lat.N() < hedgeMinSamples {
 		return c.cfg.HedgeAfter
 	}
-	per := c.lat.Percentile(c.cfg.HedgeQuantile)
-	d := time.Duration(float64(per) * c.cfg.HedgeMult * float64(n) * float64(time.Millisecond))
+	per := c.lat.Percentile(hedgeQuantile)
+	d := time.Duration(float64(per) * hedgeMult * float64(n) * float64(time.Millisecond))
 	if d < minHedgeDelay {
 		d = minHedgeDelay
 	}
@@ -461,7 +432,7 @@ func (c *Coordinator) runPartition(ctx context.Context, p *partition, spec sim.S
 // fleet-wide store lookup), so hedged and re-dispatched partitions never
 // re-simulate store-resident points while the owner can still serve GETs.
 // A 429 (or local BusyError) retries the same node after its Retry-After
-// hint, up to BusyRetries times.
+// hint, up to busyRetries times.
 func (c *Coordinator) attempt(ctx context.Context, node string, p *partition, spec sim.Sweep, reqID string) (*sim.ResultsFile, error) {
 	sp := obs.SpanFromContext(ctx)
 	asp := sp.StartChild("attempt")
@@ -477,7 +448,7 @@ func (c *Coordinator) attempt(ctx context.Context, node string, p *partition, sp
 			c.pointsResolved.Add(uint64(len(resolved)))
 			return &sim.ResultsFile{
 				SchemaVersion: sim.ResultsSchemaVersion,
-				Generator:     c.cfg.Generator,
+				Generator:     generator,
 				Runs:          resolved,
 			}, nil
 		}
@@ -486,14 +457,14 @@ func (c *Coordinator) attempt(ctx context.Context, node string, p *partition, sp
 	for try := 0; ; try++ {
 		file, err := c.dispatch(ctx, node, benches, spec, p.schemeIdx, reqID)
 		var busy *BusyError
-		if errors.As(err, &busy) && try < c.cfg.BusyRetries {
+		if errors.As(err, &busy) && try < busyRetries {
 			c.busyRetries.Add(1)
 			wait := busy.RetryAfter
 			if wait <= 0 {
 				wait = 250 * time.Millisecond
 			}
-			if wait > c.cfg.MaxBusyWait {
-				wait = c.cfg.MaxBusyWait
+			if wait > maxBusyWait {
+				wait = maxBusyWait
 			}
 			select {
 			case <-time.After(wait):
@@ -532,13 +503,13 @@ func (c *Coordinator) probeOwnerStore(ctx context.Context, p *partition, spec si
 // storeGet is one peer store probe.
 func (c *Coordinator) storeGet(ctx context.Context, node string, key store.Key) (res pipeline.Result, ok bool) {
 	c.storeProbes.Add(1)
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.StoreProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, storeProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, node+"/v1/store/"+key.String(), nil)
 	if err != nil {
 		return res, false
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return res, false
 	}
@@ -592,7 +563,7 @@ func (c *Coordinator) dispatch(ctx context.Context, node string, benches []strin
 	if reqID != "" {
 		req.Header.Set(requestIDHeader, reqID)
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: sub-sweep to %s: %w", node, err)
 	}

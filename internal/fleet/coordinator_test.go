@@ -361,7 +361,7 @@ func TestCoordinatorPermanentRejectionAborts(t *testing.T) {
 }
 
 func TestCoordinatorExhaustsRingThenFails(t *testing.T) {
-	nodes, co := newTestFleet(t, 2, Config{BusyRetries: 1, MaxBusyWait: 10 * time.Millisecond})
+	nodes, co := newTestFleet(t, 2, Config{})
 	for _, n := range nodes {
 		n.setHandler(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)

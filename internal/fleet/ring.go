@@ -19,10 +19,10 @@ import (
 	"regcache/internal/store"
 )
 
-// DefaultReplicas is the virtual-node count per endpoint. 64 vnodes keep
-// the expected ownership imbalance across a handful of nodes in the low
+// replicas is the virtual-node count per endpoint. 64 vnodes keep the
+// expected ownership imbalance across a handful of nodes in the low
 // single-digit percent while the ring stays a few-KiB sorted slice.
-const DefaultReplicas = 64
+const replicas = 64
 
 // Ring is an immutable consistent-hash ring over endpoint URLs. Ownership
 // depends only on the set of endpoint strings (not their order), so every
@@ -38,13 +38,10 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds a ring over the given endpoints with the given vnode
-// count per endpoint (<= 0 selects DefaultReplicas). Duplicate endpoints
-// collapse. An empty endpoint list yields a ring that owns nothing.
-func NewRing(endpoints []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// NewRing builds a ring over the given endpoints, replicas vnodes per
+// endpoint. Duplicate endpoints collapse. An empty endpoint list yields a
+// ring that owns nothing.
+func NewRing(endpoints []string) *Ring {
 	seen := make(map[string]bool, len(endpoints))
 	r := &Ring{}
 	for _, ep := range endpoints {

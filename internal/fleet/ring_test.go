@@ -16,8 +16,8 @@ func testKey(i int) store.Key {
 }
 
 func TestRingOwnerIgnoresEndpointOrder(t *testing.T) {
-	a := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	b := NewRing([]string{"http://c", "http://a", "http://b"}, 0)
+	a := NewRing([]string{"http://a", "http://b", "http://c"})
+	b := NewRing([]string{"http://c", "http://a", "http://b"})
 	for i := 0; i < 1000; i++ {
 		k := testKey(i)
 		if a.Owner(k) != b.Owner(k) {
@@ -28,7 +28,7 @@ func TestRingOwnerIgnoresEndpointOrder(t *testing.T) {
 
 func TestRingOwnerStableAcrossRebuilds(t *testing.T) {
 	eps := []string{"http://a", "http://b", "http://c"}
-	a, b := NewRing(eps, 64), NewRing(eps, 64)
+	a, b := NewRing(eps), NewRing(eps)
 	for i := 0; i < 1000; i++ {
 		k := testKey(i)
 		if a.Owner(k) != b.Owner(k) {
@@ -38,7 +38,7 @@ func TestRingOwnerStableAcrossRebuilds(t *testing.T) {
 }
 
 func TestRingDedupesAndSortsNodes(t *testing.T) {
-	r := NewRing([]string{"http://b", "http://a", "http://b", ""}, 0)
+	r := NewRing([]string{"http://b", "http://a", "http://b", ""})
 	nodes := r.Nodes()
 	if len(nodes) != 2 || nodes[0] != "http://a" || nodes[1] != "http://b" {
 		t.Fatalf("nodes = %v, want deduped sorted [http://a http://b]", nodes)
@@ -47,7 +47,7 @@ func TestRingDedupesAndSortsNodes(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	eps := []string{"http://a", "http://b", "http://c"}
-	r := NewRing(eps, DefaultReplicas)
+	r := NewRing(eps)
 	counts := make(map[string]int)
 	const keys = 12000
 	for i := 0; i < keys; i++ {
@@ -65,7 +65,7 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingSuccessors(t *testing.T) {
 	eps := []string{"http://a", "http://b", "http://c"}
-	r := NewRing(eps, 0)
+	r := NewRing(eps)
 	for i := 0; i < 200; i++ {
 		k := testKey(i)
 		succ := r.Successors(k, len(eps))
@@ -93,7 +93,7 @@ func TestRingSuccessors(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if got := r.Owner(testKey(1)); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
@@ -103,7 +103,7 @@ func TestRingEmpty(t *testing.T) {
 }
 
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
-	r := NewRing([]string{"http://only"}, 0)
+	r := NewRing([]string{"http://only"})
 	for i := 0; i < 100; i++ {
 		if got := r.Owner(testKey(i)); got != "http://only" {
 			t.Fatalf("key %d owned by %q", i, got)

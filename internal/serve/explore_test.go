@@ -228,7 +228,9 @@ func TestExploreWarmStoreReplay(t *testing.T) {
 }
 
 // TestExploreValidation: malformed requests answer 400, never-admissible
-// ones 413, all before any admission or simulation.
+// ones 413, all before any admission or simulation. A repeated benchmark
+// would admit the exploration at a multiple of its real point count; its
+// 400 names the field.
 func TestExploreValidation(t *testing.T) {
 	fb := &fakeBackend{}
 	srv := New(Config{Backend: fb, MaxQueuedPoints: 8})
@@ -239,23 +241,28 @@ func TestExploreValidation(t *testing.T) {
 		name   string
 		body   string
 		status int
+		field  string // the error must name it, when set
 	}{
-		{"not json", `nope`, http.StatusBadRequest},
-		{"no benches", `{"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest},
-		{"unknown bench", `{"benches":["quake"],"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest},
-		{"no axes", `{"benches":["gzip"],"space":{}}`, http.StatusBadRequest},
-		{"inverted range", `{"benches":["gzip"],"space":{"entries":{"min":64,"max":16,"step":8},"ways":{"values":[1]}}}`, http.StatusBadRequest},
-		{"zero step", `{"benches":["gzip"],"space":{"entries":{"min":8,"max":64},"ways":{"values":[1]}}}`, http.StatusBadRequest},
-		{"bad strategy", `{"benches":["gzip"],"strategy":"anneal","space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest},
-		{"bad eta", `{"benches":["gzip"],"strategy":"halving","eta":1,"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest},
-		{"all invalid", `{"benches":["gzip"],"space":{"entries":{"values":[16]},"ways":{"values":[5]}}}`, http.StatusBadRequest},
-		{"space too large", `{"benches":["gzip"],"space":{"entries":{"min":1,"max":64,"step":1},"ways":{"min":0,"max":63,"step":1},"kinds":["use","lru"]}}`, http.StatusRequestEntityTooLarge},
-		{"over capacity", `{"benches":["gzip","mcf","gcc"],"space":{"entries":{"values":[16,32,64]},"ways":{"values":[1]}}}`, http.StatusRequestEntityTooLarge},
+		{"not json", `nope`, http.StatusBadRequest, ""},
+		{"no benches", `{"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest, ""},
+		{"unknown bench", `{"benches":["quake"],"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest, ""},
+		{"repeated bench", `{"benches":["gzip","mcf","gzip"],"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest, "benches"},
+		{"no axes", `{"benches":["gzip"],"space":{}}`, http.StatusBadRequest, ""},
+		{"inverted range", `{"benches":["gzip"],"space":{"entries":{"min":64,"max":16,"step":8},"ways":{"values":[1]}}}`, http.StatusBadRequest, ""},
+		{"zero step", `{"benches":["gzip"],"space":{"entries":{"min":8,"max":64},"ways":{"values":[1]}}}`, http.StatusBadRequest, ""},
+		{"bad strategy", `{"benches":["gzip"],"strategy":"anneal","space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest, ""},
+		{"bad eta", `{"benches":["gzip"],"strategy":"halving","eta":1,"space":{"entries":{"values":[16]},"ways":{"values":[1]}}}`, http.StatusBadRequest, ""},
+		{"all invalid", `{"benches":["gzip"],"space":{"entries":{"values":[16]},"ways":{"values":[5]}}}`, http.StatusBadRequest, ""},
+		{"space too large", `{"benches":["gzip"],"space":{"entries":{"min":1,"max":64,"step":1},"ways":{"min":0,"max":63,"step":1},"kinds":["use","lru"]}}`, http.StatusRequestEntityTooLarge, ""},
+		{"over capacity", `{"benches":["gzip","mcf","gcc"],"space":{"entries":{"values":[16,32,64]},"ways":{"values":[1]}}}`, http.StatusRequestEntityTooLarge, ""},
 	}
 	for _, tc := range cases {
 		resp, data := postExplore(t, ts, tc.body)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.status, data)
+		}
+		if !strings.Contains(string(data), tc.field) {
+			t.Errorf("%s: error %s does not name %q", tc.name, data, tc.field)
 		}
 	}
 	if fb.Stats().JobsRun != 0 {

@@ -65,14 +65,13 @@ func (s *Server) leafExec(ctx context.Context, sw sim.Sweep) (*sim.ResultsFile, 
 
 // retryAfterHint scales the 429 back-off hint with queue pressure so
 // fleet peers (and polite clients) back off proportionally: an empty
-// queue returns the configured base hint, a full queue 8× that, linear in
-// between.
+// queue returns retryAfterBase, a full queue 8× that, linear in between.
 func (s *Server) retryAfterHint() time.Duration {
 	frac := float64(s.QueuedPoints()) / float64(s.cfg.MaxQueuedPoints)
 	if frac > 1 {
 		frac = 1
 	}
-	return s.cfg.RetryAfter + time.Duration(frac*7*float64(s.cfg.RetryAfter))
+	return retryAfterBase + time.Duration(frac*7*float64(retryAfterBase))
 }
 
 // setRetryAfter renders a duration as the Retry-After header, rounded up

@@ -15,10 +15,10 @@ import (
 )
 
 // TestRetryAfterHintScalesWithLoad pins the load-aware back-off contract
-// fleet peers rely on: an idle queue hints the configured base, a full
+// fleet peers rely on: an idle queue hints the 1s base, a full
 // queue 8x that, linear and monotonic in between, clamped beyond full.
 func TestRetryAfterHintScalesWithLoad(t *testing.T) {
-	srv := New(Config{Backend: &fakeBackend{}, MaxQueuedPoints: 100, RetryAfter: time.Second})
+	srv := New(Config{Backend: &fakeBackend{}, MaxQueuedPoints: 100})
 
 	if got := srv.retryAfterHint(); got != time.Second {
 		t.Errorf("idle hint = %v, want 1s (the base)", got)
@@ -59,7 +59,7 @@ func TestRetryAfterHintScalesWithLoad(t *testing.T) {
 // back-off, not the base.
 func TestShed429CarriesLoadScaledRetryAfter(t *testing.T) {
 	be := newBlockingBackend()
-	srv := New(Config{Backend: be, MaxQueuedPoints: 1, RetryAfter: time.Second})
+	srv := New(Config{Backend: be, MaxQueuedPoints: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer be.release()
@@ -86,7 +86,7 @@ func TestShed429CarriesLoadScaledRetryAfter(t *testing.T) {
 // Retry-After hint, so fleet coordinators (and polite clients) know how
 // long to wait before trying a restarted instance.
 func TestDrain503CarriesRetryAfter(t *testing.T) {
-	srv := New(Config{Backend: &fakeBackend{}, RetryAfter: 2 * time.Second})
+	srv := New(Config{Backend: &fakeBackend{}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -97,8 +97,8 @@ func TestDrain503CarriesRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503: %s", resp.StatusCode, data)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want %q (the idle base hint)", got, "2")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want %q (the idle base hint)", got, "1")
 	}
 }
 

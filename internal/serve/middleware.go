@@ -96,7 +96,7 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 		} else if status >= 400 {
 			level = slog.LevelWarn
 		}
-		s.logger.LogAttrs(r.Context(), level, "request",
+		obs.Logger().LogAttrs(r.Context(), level, "request",
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", status),

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -53,6 +52,10 @@ type Backend interface {
 // maxBodyBytes caps a sweep or exploration request body.
 const maxBodyBytes = 1 << 20
 
+// retryAfterBase is the Retry-After hint at an idle queue; retryAfterHint
+// scales it with queue depth.
+const retryAfterBase = time.Second
+
 // Config sizes the service. Backend is required; zero values of the other
 // fields select the defaults.
 type Config struct {
@@ -63,7 +66,6 @@ type Config struct {
 	MaxJobs         int           // settled async jobs retained for polling; default 1024
 	DefaultTimeout  time.Duration // per-request deadline when the client sets none; default 60s
 	MaxTimeout      time.Duration // cap on client-chosen deadlines; default 10m
-	RetryAfter      time.Duration // base Retry-After hint; scaled with queue depth, see retryAfterHint
 
 	// Peers + SelfURL enable the fleet plane: client-facing sweeps are
 	// scattered across Peers ∪ {SelfURL} by consistent-hashing each
@@ -87,11 +89,6 @@ type Config struct {
 	// recorder; tracing cannot be disabled — the rings are bounded, so
 	// always-on costs a constant.
 	Flight *obs.FlightRecorder
-
-	// Logger is the structured logger for request/drain/error lines. Nil
-	// selects obs.Logger() at call time (a discard until the binary calls
-	// obs.SetLogger), so library use stays silent.
-	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
 
@@ -121,7 +115,6 @@ type Server struct {
 	cfg     Config
 	backend Backend
 	flight  *obs.FlightRecorder
-	logger  *slog.Logger
 	fleet   *fleet.Coordinator // nil without Config.Peers
 
 	regMu sync.Mutex
@@ -168,10 +161,6 @@ func New(cfg Config) *Server {
 	s.flight = cfg.Flight
 	if s.flight == nil {
 		s.flight = obs.DefaultFlight()
-	}
-	s.logger = cfg.Logger
-	if s.logger == nil {
-		s.logger = obs.Logger()
 	}
 	// A runner backend reports its panics and store failures into the same
 	// recorder the service serves, so /debug/flight is one coherent stream.
@@ -323,7 +312,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	queued := s.queued
 	s.mu.Unlock()
-	s.logger.InfoContext(ctx, "drain started", "queued_points", queued)
+	obs.Logger().InfoContext(ctx, "drain started", "queued_points", queued)
 	start := time.Now()
 	done := make(chan struct{})
 	go func() {
@@ -333,11 +322,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		s.backend.Close()
-		s.logger.InfoContext(ctx, "drain complete",
+		obs.Logger().InfoContext(ctx, "drain complete",
 			"elapsed_ms", float64(time.Since(start).Microseconds())/1e3)
 		return nil
 	case <-ctx.Done():
-		s.logger.ErrorContext(ctx, "drain interrupted", "err", ctx.Err().Error())
+		obs.Logger().ErrorContext(ctx, "drain interrupted", "err", ctx.Err().Error())
 		return fmt.Errorf("serve: drain interrupted: %w", ctx.Err())
 	}
 }
@@ -492,7 +481,7 @@ func (s *Server) admitAndRun(w http.ResponseWriter, r *http.Request, root *obs.S
 			root.End()
 			s.observeSweep(time.Since(start))
 			s.finishJob(j, doc, err)
-			s.logger.InfoContext(ctx, "async "+a.kind+" settled",
+			obs.Logger().InfoContext(ctx, "async "+a.kind+" settled",
 				"request_id", reqID, "job", j.id, "points", a.points,
 				"elapsed_ms", float64(time.Since(start).Microseconds())/1e3,
 				"failed", err != nil)

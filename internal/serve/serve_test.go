@@ -341,7 +341,9 @@ func TestSweepOptionRulesRejected(t *testing.T) {
 	}
 	for _, row := range rows {
 		req := row.Request
-		req.Benches = []string{"gzip"}
+		if len(req.Benches) == 0 {
+			req.Benches = []string{"gzip"}
+		}
 		if len(req.Schemes) == 0 && len(req.SchemeRecords) == 0 {
 			req.Schemes = []string{"use:16x2"}
 		}

@@ -141,7 +141,7 @@ func FuzzOptions(f *testing.F) {
 		}
 		// A fresh workload cache per input: checkpoint sets are cached per
 		// (budget, K, warm-up), so a shared one would grow with the corpus.
-		if _, err := ExecuteWith(NewWorkloadCache(), "gzip", s, o); err != nil {
+		if _, err := Execute(NewWorkloadCache(), "gzip", s, o); err != nil {
 			t.Fatalf("%+v: accepted options failed to run: %v", o, err)
 		}
 	})

@@ -26,11 +26,11 @@ func TestIntervalK1BitIdentical(t *testing.T) {
 	wc := NewWorkloadCache()
 	for _, s := range workloadMatrix() {
 		for _, b := range benches {
-			serial, err := ExecuteWith(wc, b, s, Options{Insts: 20_000})
+			serial, err := Execute(wc, b, s, Options{Insts: 20_000})
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", s.Name, b, err)
 			}
-			guard, err := ExecuteWith(wc, b, s, Options{Insts: 20_000, Intervals: 1})
+			guard, err := Execute(wc, b, s, Options{Insts: 20_000, Intervals: 1})
 			if err != nil {
 				t.Fatalf("%s/%s K=1: %v", s.Name, b, err)
 			}
@@ -75,11 +75,11 @@ func TestIntervalStatsEpsilon(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		for _, s := range schemes {
 			for _, b := range benches {
-				serial, err := ExecuteWith(wc, b, s, Options{Insts: insts})
+				serial, err := Execute(wc, b, s, Options{Insts: insts})
 				if err != nil {
 					t.Fatalf("%s/%s serial: %v", s.Name, b, err)
 				}
-				par, err := ExecuteWith(wc, b, s, Options{Insts: insts, Intervals: k})
+				par, err := Execute(wc, b, s, Options{Insts: insts, Intervals: k})
 				if err != nil {
 					t.Fatalf("%s/%s K=%d: %v", s.Name, b, k, err)
 				}
@@ -117,7 +117,7 @@ func TestIntervalDeterministic(t *testing.T) {
 	o := Options{Insts: 30_000, Intervals: 4}
 	var got []string
 	for i := 0; i < 2; i++ {
-		r, err := ExecuteWith(NewWorkloadCache(), "gzip", s, o)
+		r, err := Execute(NewWorkloadCache(), "gzip", s, o)
 		if err != nil {
 			t.Fatal(err)
 		}

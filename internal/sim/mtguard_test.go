@@ -61,7 +61,7 @@ func TestSingleContextGoldenFingerprints(t *testing.T) {
 				t.Errorf("%s/%s: no pinned fingerprint for matrix scheme (update the table deliberately)", bench, sc.Name)
 				continue
 			}
-			res, err := Execute(bench, sc, o)
+			res, err := Execute(DefaultWorkloads(), bench, sc, o)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bench, sc.Name, err)
 			}
@@ -121,7 +121,7 @@ func TestPinnedRunFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.spec, err)
 		}
-		res, err := Execute(p.bench, sc, p.o)
+		res, err := Execute(DefaultWorkloads(), p.bench, sc, p.o)
 		if err != nil {
 			t.Fatalf("%s/%s %+v: %v", p.bench, p.spec, p.o, err)
 		}

@@ -40,7 +40,7 @@ func (c payloadCase) simulate(tb testing.TB) (Scheme, pipeline.Result) {
 	if err != nil {
 		tb.Fatalf("%s: %v", c.name, err)
 	}
-	res, err := Execute(c.bench, sc, c.opts)
+	res, err := Execute(DefaultWorkloads(), c.bench, sc, c.opts)
 	if err != nil {
 		tb.Fatalf("%s: %v", c.name, err)
 	}

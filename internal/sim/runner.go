@@ -1,12 +1,14 @@
 package sim
 
-// This file implements the shared simulation-run layer every evaluation in
-// the repo executes through: a memoizing result cache keyed by the full
-// (scheme, benchmark, options) triple with single-flight deduplication, and
-// a bounded worker pool that schedules scheme×benchmark jobs across all
-// experiments instead of per-suite goroutine bursts. Baselines that many
-// figures share (e.g. the 3-cycle monolithic file) therefore simulate once
-// per process; every later request is a cache hit.
+// This file implements the simulation-run layer every evaluation in the
+// repo executes through: a Runner is a memoizing result cache keyed by the
+// full (scheme, benchmark, options) triple with single-flight
+// deduplication, in front of a bounded worker pool that schedules
+// scheme×benchmark jobs across all the experiments given the same runner
+// instead of per-suite goroutine bursts. Baselines that many figures share
+// (e.g. the 3-cycle monolithic file) therefore simulate once per runner;
+// every later request is a cache hit. There is no process-wide runner:
+// each command, server and test builds the one it passes around.
 
 import (
 	"context"
@@ -783,36 +785,4 @@ func (r *Runner) CompletedJobs() []JobResult {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Job.Key() < out[k].Job.Key() })
 	return out
-}
-
-// The process-wide runner used by Run and RunSuite. Its pool size can be
-// configured once, before first use, via ConfigureDefaultRunner.
-var (
-	defaultMu      sync.Mutex
-	defaultWorkers int
-	defaultRunner  *Runner
-)
-
-// DefaultRunner returns the shared process-wide runner, creating it on
-// first use.
-func DefaultRunner() *Runner {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultRunner == nil {
-		defaultRunner = NewRunner(defaultWorkers)
-	}
-	return defaultRunner
-}
-
-// ConfigureDefaultRunner sets the default runner's pool size (<= 0 selects
-// runtime.NumCPU()). It must be called before the first DefaultRunner use;
-// later calls return an error instead of silently resizing a live pool.
-func ConfigureDefaultRunner(workers int) error {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultRunner != nil {
-		return fmt.Errorf("sim: default runner already started with %d workers", defaultRunner.workers)
-	}
-	defaultWorkers = workers
-	return nil
 }

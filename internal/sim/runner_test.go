@@ -120,7 +120,9 @@ func TestRunnerReset(t *testing.T) {
 // RunSuite must surface an unknown-benchmark error without losing the
 // other benchmarks' results (partial results + joined errors).
 func TestRunSuitePartialResultsOnError(t *testing.T) {
-	sr, err := RunSuite([]string{"gzip", "nonesuch", "twolf"}, UseBased(16, 2, core.IndexFilteredRR), Options{Insts: 10_000})
+	r := NewRunner(2)
+	defer r.Close()
+	sr, err := r.RunSuite([]string{"gzip", "nonesuch", "twolf"}, UseBased(16, 2, core.IndexFilteredRR), Options{Insts: 10_000})
 	if err == nil {
 		t.Fatal("expected an error for the unknown benchmark")
 	}
@@ -150,7 +152,7 @@ func TestRunnerMatchesSerialExecution(t *testing.T) {
 
 	before := r.Stats()
 	for _, b := range benches {
-		serial, err := Execute(b, s, o)
+		serial, err := Execute(DefaultWorkloads(), b, s, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,14 +211,6 @@ func TestRunnerConfiguration(t *testing.T) {
 	}
 	if NewRunner(3).Workers() != 3 {
 		t.Error("explicit worker count ignored")
-	}
-	// The default runner exists after first use, and reconfiguring a live
-	// pool is rejected.
-	if DefaultRunner() == nil {
-		t.Fatal("no default runner")
-	}
-	if err := ConfigureDefaultRunner(8); err == nil {
-		t.Error("ConfigureDefaultRunner must fail after the default runner started")
 	}
 }
 

@@ -276,12 +276,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Workload returns the named built-in benchmark program from the shared
-// workload cache (see workload.go).
-func Workload(name string) (*prog.Program, error) {
-	return DefaultWorkloads().Program(name)
-}
-
 // config assembles the pipeline configuration for a scheme.
 func (s Scheme) config(o Options) pipeline.Config {
 	cfg := pipeline.DefaultConfig()
@@ -310,17 +304,11 @@ func (s Scheme) config(o Options) pipeline.Config {
 }
 
 // Execute simulates one benchmark under one scheme directly, bypassing the
-// memoizing run layer but sharing the process-wide workload cache. Use it
+// memoizing run layer; the workload cache supplies the pre-decoded program
+// and (for oracle schemes) the shared functional pre-pass table. Use it
 // when the simulation itself is the thing being measured (throughput
-// benchmarks); everything else should call Run.
-func Execute(bench string, s Scheme, o Options) (pipeline.Result, error) {
-	return ExecuteWith(DefaultWorkloads(), bench, s, o)
-}
-
-// ExecuteWith simulates one benchmark under one scheme using the given
-// workload cache for the pre-decoded program and (for oracle schemes) the
-// shared functional pre-pass table.
-func ExecuteWith(wc *WorkloadCache, bench string, s Scheme, o Options) (pipeline.Result, error) {
+// benchmarks); everything else should go through a Runner.
+func Execute(wc *WorkloadCache, bench string, s Scheme, o Options) (pipeline.Result, error) {
 	if err := ValidatePoint(s, o); err != nil {
 		return pipeline.Result{}, err
 	}
@@ -328,7 +316,7 @@ func ExecuteWith(wc *WorkloadCache, bench string, s Scheme, o Options) (pipeline
 	return res, err
 }
 
-// executeTraced is ExecuteWith with request-scoped tracing: a non-nil sp
+// executeTraced is Execute with request-scoped tracing: a non-nil sp
 // gains per-interval warm-up/measured child spans and a stitch span, and
 // the returned stitchNS reports the merge cost for the per-point timing
 // breakdown. A nil sp (every caller outside the service runner) is the
@@ -413,13 +401,6 @@ func buildPipeline(wc *WorkloadCache, bench string, s Scheme, o Options) (*pipel
 	return pl, nil
 }
 
-// Run simulates one benchmark under one scheme through the shared
-// memoizing runner: a repeated (scheme, benchmark, options) triple
-// simulates once per process.
-func Run(bench string, s Scheme, o Options) (pipeline.Result, error) {
-	return DefaultRunner().Run(context.Background(), bench, s, o)
-}
-
 // RunPipeline builds (but does not run) a pipeline for callers that need
 // access to internal structures after the run (lifetime tracking, tracers).
 // The shared workload cache supplies the program and any oracle table.
@@ -439,25 +420,16 @@ type SuiteResult struct {
 	Order    []string
 }
 
-// RunSuite simulates every named benchmark under the scheme on the shared
-// worker pool (each pipeline is independent and deterministic). On error
-// it still returns the partial SuiteResult alongside every benchmark's
-// error, joined.
-func RunSuite(benches []string, s Scheme, o Options) (*SuiteResult, error) {
-	return RunSuiteCtx(context.Background(), benches, s, o)
-}
-
-// RunSuiteCtx is RunSuite with cancellation: a cancelled context abandons
-// the waits (in-flight simulations finish and stay memoized for later
-// requesters).
-func RunSuiteCtx(ctx context.Context, benches []string, s Scheme, o Options) (*SuiteResult, error) {
+// RunSuite simulates every named benchmark under the scheme on the
+// runner's pool (each pipeline is independent and deterministic). On
+// error it still returns the partial SuiteResult alongside every
+// benchmark's error, joined.
+func (r *Runner) RunSuite(benches []string, s Scheme, o Options) (*SuiteResult, error) {
 	sr := &SuiteResult{Scheme: s, PerBench: make(map[string]pipeline.Result), Order: benches}
-	r := DefaultRunner()
 	// Submit everything up front so the pool can run benchmarks in
 	// parallel, then collect in order, draining every result: one bad
-	// benchmark must not discard the others' work. Submission itself
-	// honours the context (a full queue no longer strands a cancelled
-	// caller).
+	// benchmark must not discard the others' work.
+	ctx := context.Background()
 	entries := make([]*memoEntry, len(benches))
 	var errs []error
 	for i, b := range benches {
@@ -480,13 +452,6 @@ func RunSuiteCtx(ctx context.Context, benches []string, s Scheme, o Options) (*S
 		sr.PerBench[b] = res
 	}
 	return sr, errors.Join(errs...)
-}
-
-// Prefetch enqueues every scheme×benchmark simulation on the shared runner
-// without waiting. Experiments call it before their serial collection
-// loops so the pool overlaps the work.
-func Prefetch(benches []string, schemes []Scheme, o Options) {
-	DefaultRunner().Prefetch(benches, schemes, o)
 }
 
 // RelIPC returns the geometric-mean speedup of this suite result over a

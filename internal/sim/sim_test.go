@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"regcache/internal/core"
@@ -35,25 +36,29 @@ func TestSchemeConstructors(t *testing.T) {
 }
 
 func TestWorkloadCacheAndErrors(t *testing.T) {
-	a, err := Workload("gzip")
+	a, err := DefaultWorkloads().Program("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Workload("gzip")
+	b, _ := DefaultWorkloads().Program("gzip")
 	if a != b {
 		t.Error("workload cache returned different programs")
 	}
-	if _, err := Workload("nonesuch"); err == nil {
+	if _, err := DefaultWorkloads().Program("nonesuch"); err == nil {
 		t.Error("expected error for unknown benchmark")
 	}
-	if _, err := Run("nonesuch", Monolithic(1), Options{Insts: 1000}); err == nil {
+	r := NewRunner(1)
+	defer r.Close()
+	if _, err := r.Run(context.Background(), "nonesuch", Monolithic(1), Options{Insts: 1000}); err == nil {
 		t.Error("Run must propagate workload errors")
 	}
 }
 
 func TestRunAndSuite(t *testing.T) {
 	benches := []string{"gzip", "twolf"}
-	sr, err := RunSuite(benches, UseBased(64, 2, core.IndexFilteredRR), Options{Insts: 20_000})
+	r := NewRunner(2)
+	defer r.Close()
+	sr, err := r.RunSuite(benches, UseBased(64, 2, core.IndexFilteredRR), Options{Insts: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,9 @@ func TestRunAndSuite(t *testing.T) {
 
 func TestRelIPC(t *testing.T) {
 	benches := []string{"gzip"}
-	a, err := RunSuite(benches, Monolithic(1), Options{Insts: 20_000})
+	r := NewRunner(2)
+	defer r.Close()
+	a, err := r.RunSuite(benches, Monolithic(1), Options{Insts: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +96,7 @@ func TestRelIPC(t *testing.T) {
 	if rel := a.RelIPC(a); rel != 1 {
 		t.Fatalf("self-relative IPC = %v, want 1", rel)
 	}
-	b, err := RunSuite(benches, Monolithic(3), Options{Insts: 20_000})
+	b, err := r.RunSuite(benches, Monolithic(3), Options{Insts: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +109,11 @@ func TestRelIPC(t *testing.T) {
 func TestDeterministicAcrossSuiteRuns(t *testing.T) {
 	// Concurrent suite execution must not perturb results.
 	s := UseBased(64, 2, core.IndexFilteredRR)
-	a, _ := RunSuite([]string{"gzip", "mcf"}, s, Options{Insts: 15_000})
-	b, _ := RunSuite([]string{"gzip", "mcf"}, s, Options{Insts: 15_000})
+	ra, rb := NewRunner(2), NewRunner(2)
+	defer ra.Close()
+	defer rb.Close()
+	a, _ := ra.RunSuite([]string{"gzip", "mcf"}, s, Options{Insts: 15_000})
+	b, _ := rb.RunSuite([]string{"gzip", "mcf"}, s, Options{Insts: 15_000})
 	for _, bench := range a.Order {
 		if a.PerBench[bench].Stats.Cycles != b.PerBench[bench].Stats.Cycles {
 			t.Fatalf("%s: non-deterministic cycles", bench)
@@ -116,7 +126,7 @@ func TestBenchmarkLists(t *testing.T) {
 		t.Errorf("suite has %d benchmarks, want 12", len(Benchmarks()))
 	}
 	for _, q := range QuickBenchmarks() {
-		if _, err := Workload(q); err != nil {
+		if _, err := DefaultWorkloads().Program(q); err != nil {
 			t.Errorf("quick benchmark %s unavailable: %v", q, err)
 		}
 	}

@@ -245,7 +245,7 @@ func TestStoreCorruptEntryFallsBackToSimulate(t *testing.T) {
 // supersedes it and the following Get hits.
 func TestStoreOldPayloadsSuperseded(t *testing.T) {
 	j := testStoreJob()
-	res, err := Execute(j.Bench, j.Scheme, j.Opts)
+	res, err := Execute(DefaultWorkloads(), j.Bench, j.Scheme, j.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}

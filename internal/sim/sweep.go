@@ -8,6 +8,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"regcache/internal/prog"
 )
@@ -66,8 +67,10 @@ func (s Sweep) Points() int { return len(s.Schemes) * len(s.Benches) }
 
 // Resolve is the one resolve step for a sweep request: specs and records
 // become schemes, ["all"] becomes the full suite, and every scheme passes
-// ValidatePoint under the request's options. Errors name the JSON field,
-// scheme or benchmark at fault.
+// ValidatePoint under the request's options. A results document holds one
+// run per (scheme name, benchmark) point, so a scheme repeated by name or
+// a repeated benchmark is refused. Errors name the JSON field, scheme or
+// benchmark at fault.
 func (r *SweepRequest) Resolve() (Sweep, error) {
 	sw := Sweep{Opts: r.Options(), Timings: r.Timings}
 	for _, spec := range r.Schemes {
@@ -87,7 +90,12 @@ func (r *SweepRequest) Resolve() (Sweep, error) {
 	if len(sw.Schemes) == 0 {
 		return Sweep{}, errors.New("sim: sweep needs at least one scheme (schemes or scheme_records)")
 	}
+	seen := make(map[string]bool, len(sw.Schemes))
 	for _, sc := range sw.Schemes {
+		if seen[sc.Name] {
+			return Sweep{}, fmt.Errorf("sim: schemes repeat scheme %q", sc.Name)
+		}
+		seen[sc.Name] = true
 		if err := ValidatePoint(sc, sw.Opts); err != nil {
 			return Sweep{}, err
 		}
@@ -98,7 +106,8 @@ func (r *SweepRequest) Resolve() (Sweep, error) {
 }
 
 // ResolveBenches validates a benchmark list against the built-in suite,
-// expanding the ["all"] shorthand.
+// expanding the ["all"] shorthand. A repeated benchmark is refused: it
+// would repeat every point it appears in.
 func ResolveBenches(names []string) ([]string, error) {
 	if len(names) == 1 && names[0] == "all" {
 		return Benchmarks(), nil
@@ -106,9 +115,12 @@ func ResolveBenches(names []string) ([]string, error) {
 	if len(names) == 0 {
 		return nil, errors.New("sim: request needs at least one benchmark")
 	}
-	for _, b := range names {
+	for i, b := range names {
 		if _, ok := prog.ProfileByName(b); !ok {
 			return nil, fmt.Errorf("sim: unknown benchmark %q", b)
+		}
+		if slices.Contains(names[:i], b) {
+			return nil, fmt.Errorf("sim: benches repeat benchmark %q", b)
 		}
 	}
 	return names, nil

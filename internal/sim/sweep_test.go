@@ -132,7 +132,7 @@ func TestExecutionEntriesValidate(t *testing.T) {
 		if _, err := r.Run(context.Background(), "gzip", tc.s, tc.o); err == nil {
 			t.Errorf("Runner.Run(%s, %+v): no error", tc.s.Name, tc.o)
 		}
-		if _, err := Execute("gzip", tc.s, tc.o); err == nil {
+		if _, err := Execute(DefaultWorkloads(), "gzip", tc.s, tc.o); err == nil {
 			t.Errorf("Execute(%s, %+v): no error", tc.s.Name, tc.o)
 		}
 	}

@@ -217,8 +217,8 @@ func (c *WorkloadCache) Checkpoints(bench string, insts uint64, k int, warmup ui
 	return e.cks, e.err
 }
 
-// The process-wide workload cache shared by Execute, the default runner,
-// and both binaries.
+// The process-wide workload cache, shared by every runner built with
+// NewRunner and by RunPipeline.
 var (
 	defaultWorkloadsOnce sync.Once
 	defaultWorkloads     *WorkloadCache

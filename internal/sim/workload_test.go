@@ -47,7 +47,7 @@ func TestWorkloadSharingBitIdentical(t *testing.T) {
 		var out []RunRecord
 		for _, s := range matrix {
 			for _, b := range benches {
-				r, err := ExecuteWith(wc(), b, s, o)
+				r, err := Execute(wc(), b, s, o)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", s.Name, b, err)
 				}
@@ -158,7 +158,7 @@ func TestWorkloadCacheRaceHammer(t *testing.T) {
 	}
 	for _, s := range schemes {
 		for _, b := range benches {
-			ref, err := ExecuteWith(NewWorkloadCache(), b, s, o)
+			ref, err := Execute(NewWorkloadCache(), b, s, o)
 			if err != nil {
 				t.Fatalf("reference %s/%s: %v", s.Name, b, err)
 			}
