@@ -84,9 +84,11 @@ fleet-check:
 		-schemes use-16x2-filtered,rf-3cyc $(FLEET_ARTIFACT)
 
 # Emit a -json results file and validate it parses with the current schema.
+JSON_ARTIFACT ?= /tmp/regsim-ci.json
+
 json-check:
-	$(GO) run ./cmd/regsim -bench gzip -n 20000 -json /tmp/regsim-ci.json > /dev/null
-	$(GO) run ./cmd/checkresults /tmp/regsim-ci.json
+	$(GO) run ./cmd/regsim -bench gzip -n 20000 -json $(JSON_ARTIFACT) > /dev/null
+	$(GO) run ./cmd/checkresults $(JSON_ARTIFACT)
 
 experiments:
 	$(GO) run ./cmd/experiments -quick -v

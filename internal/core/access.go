@@ -60,14 +60,11 @@ func (c *Cache) Produce(p PReg, set int, remaining int, pinned bool, bypassed bo
 			c.tracer.TraceCache(obs.CacheEvent{Cycle: now, Kind: obs.CacheWriteFiltered,
 				PReg: int32(p), Set: int16(set), Uses: int16(remaining), MissKind: -1, Pinned: pinned})
 		}
-		if c.shadow != nil {
-			c.shadow.Produce(p, 0, remaining, pinned, bypassed, now)
-		}
 		return false
 	}
 	c.insert(p, set, remaining, pinned, now, false)
 	if c.shadow != nil {
-		c.shadow.Produce(p, 0, remaining, pinned, bypassed, now)
+		c.shadow.insert(p, remaining, pinned, now)
 	}
 	return true
 }
@@ -142,10 +139,7 @@ func (c *Cache) victim(set int) int {
 			}
 		}
 	case ReplaceRandom:
-		c.rngState ^= c.rngState >> 12
-		c.rngState ^= c.rngState << 25
-		c.rngState ^= c.rngState >> 27
-		best = int((c.rngState * 0x2545f4914f6cdd1d) >> 33 % uint64(len(ways)))
+		best = randomWay(&c.rngState, len(ways))
 	case ReplaceUseBased:
 		for i := 1; i < len(ways); i++ {
 			bu, iu := effUses(&ways[best]), effUses(&ways[i])
@@ -159,6 +153,17 @@ func (c *Cache) victim(set int) int {
 		c.Stats.VictimsZeroUse++
 	}
 	return best
+}
+
+// rngSeed starts every ReplaceRandom xorshift stream.
+const rngSeed = 0x9e3779b97f4a7c15
+
+// randomWay advances the xorshift* state and draws a way in [0, ways).
+func randomWay(state *uint64, ways int) int {
+	*state ^= *state >> 12
+	*state ^= *state << 25
+	*state ^= *state >> 27
+	return int((*state * 0x2545f4914f6cdd1d) >> 33 % uint64(ways))
 }
 
 // effUses is the remaining-use count for victim comparison; pinned entries
@@ -209,6 +214,9 @@ func (c *Cache) finishResidency(e *entry, now uint64) {
 func (c *Cache) Read(p PReg, set int, now uint64) bool {
 	c.Stats.Reads++
 	st := c.state(p)
+	// The shadow sees every read, hit or miss, so its use counts and
+	// replacement order track a fully-associative cache's.
+	inShadow := c.shadow != nil && c.shadow.read(p, now)
 	if st.inserted {
 		e := &c.sets[set][st.way]
 		if e.valid && e.preg == p {
@@ -223,14 +231,11 @@ func (c *Cache) Read(p PReg, set int, now uint64) bool {
 				c.tracer.TraceCache(obs.CacheEvent{Cycle: now, Kind: obs.CacheHit,
 					PReg: int32(p), Set: int16(set), Uses: int16(e.uses), MissKind: -1, Pinned: e.pinned})
 			}
-			if c.shadow != nil {
-				c.shadow.Read(p, 0, now)
-			}
 			return true
 		}
 	}
 	c.Stats.Misses++
-	kind := c.classifyMiss(p, now)
+	kind := c.classifyMiss(st, inShadow)
 	if c.tracer != nil {
 		c.tracer.TraceCache(obs.CacheEvent{Cycle: now, Kind: obs.CacheMiss,
 			PReg: int32(p), Set: int16(set), MissKind: int8(kind)})
@@ -238,24 +243,16 @@ func (c *Cache) Read(p PReg, set int, now uint64) bool {
 	return false
 }
 
-// classifyMiss attributes a miss per Figure 8 and returns the kind.
-func (c *Cache) classifyMiss(p PReg, now uint64) MissKind {
-	st := c.state(p)
+// classifyMiss attributes a miss per Figure 8 and returns the kind: a
+// value never written is a filtered miss; otherwise the miss is a conflict
+// when the same-size fully-associative shadow holds the value and a
+// capacity miss when it does not.
+func (c *Cache) classifyMiss(st *pregState, inShadow bool) MissKind {
 	kind := MissConflict
-	if !st.everCached || (st.insertions == 0) {
+	if !st.everCached || st.insertions == 0 {
 		kind = MissFiltered
-	} else if c.shadow != nil {
-		// Present in the same-size fully-associative shadow => conflict;
-		// absent there too => capacity.
-		if c.shadow.Read(p, 0, now) {
-			kind = MissConflict
-		} else {
-			kind = MissCapacity
-		}
-	}
-	if kind == MissFiltered && c.shadow != nil {
-		// Keep the shadow's read stream aligned.
-		c.shadow.Read(p, 0, now)
+	} else if c.shadow != nil && !inShadow {
+		kind = MissCapacity
 	}
 	c.Stats.MissBy[kind]++
 	return kind
@@ -271,7 +268,7 @@ func (c *Cache) Fill(p PReg, set int, now uint64) {
 	}
 	c.insert(p, set, c.cfg.FillDefault, false, now, true)
 	if c.shadow != nil {
-		c.shadow.Fill(p, 0, now)
+		c.shadow.insert(p, c.cfg.FillDefault, false, now)
 	}
 }
 
@@ -296,7 +293,7 @@ func (c *Cache) NoteBypassUse(p PReg, set int) {
 	// must see the same decrement or its use-based victim choices diverge
 	// and skew the conflict/capacity miss split (Figure 8).
 	if c.shadow != nil {
-		c.shadow.NoteBypassUse(p, 0)
+		c.shadow.bypassUse(p)
 	}
 }
 
@@ -339,7 +336,7 @@ func (c *Cache) Free(p PReg, now uint64) {
 	st.live = false
 	st.inserted = false
 	if c.shadow != nil {
-		c.shadow.Free(p, now)
+		c.shadow.free(p)
 	}
 }
 
@@ -354,12 +351,7 @@ func (c *Cache) noteOccupancy(now uint64) {
 }
 
 // FinishSampling closes the occupancy integral at the end of simulation.
-func (c *Cache) FinishSampling(now uint64) {
-	c.noteOccupancy(now)
-	if c.shadow != nil {
-		c.shadow.FinishSampling(now)
-	}
-}
+func (c *Cache) FinishSampling(now uint64) { c.noteOccupancy(now) }
 
 // Occupied returns the current number of valid entries (for tests).
 func (c *Cache) Occupied() int { return c.Stats.occupied }

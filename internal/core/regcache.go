@@ -105,9 +105,9 @@ type Config struct {
 	Replace ReplacePolicy
 	Index   IndexScheme
 
-	MaxUse         int // saturation point of the remaining-use count; predicted counts at this value pin the entry (default 7)
+	MaxUse         int // saturation point of the remaining-use count, at most 255; predicted counts at this value pin the entry (default 7)
 	UnknownDefault int // remaining uses assumed when the predictor declines (default 1)
-	FillDefault    int // remaining uses assumed after a miss fill (default 0)
+	FillDefault    int // remaining uses assumed after a miss fill, at most 255 (default 0)
 
 	HighUseCutoff    int // predicted uses beyond which a value is "high-use" for filtered round-robin (default 5, i.e. >5)
 	SetSkipThreshold int // high-use values per set above which filtered round-robin skips the set (default ways/2)
@@ -116,6 +116,10 @@ type Config struct {
 
 	ClassifyMisses bool // maintain a shadow fully-associative cache to split conflict from capacity misses
 }
+
+// maxUses bounds remaining-use counts: they saturate into a uint8 in the
+// pipeline's per-preg state and in the shadow's ways.
+const maxUses = 255
 
 func (c Config) withDefaults() Config {
 	if c.Entries == 0 {
@@ -198,8 +202,7 @@ type Cache struct {
 	sets  [][]entry
 
 	// liveWays counts valid entries per set so a full set (the steady
-	// state, especially for the fully-associative shadow) skips the
-	// empty-way scan.
+	// state) skips the empty-way scan.
 	liveWays []int16
 
 	pregs []pregState
@@ -209,13 +212,12 @@ type Cache struct {
 	setLoad    []int // minimum: sum of predicted uses assigned per set
 	setHighUse []int // filtered round-robin: high-use values per set
 
-	shadow *Cache // fully-associative twin for conflict/capacity split
+	shadow *faShadow // fully-associative twin for the conflict/capacity split
 
 	rngState uint64 // xorshift state for ReplaceRandom victim selection
 
-	// tracer receives structured cache events when non-nil. The shadow
-	// cache never traces: only the primary's events describe the modeled
-	// hardware, and a traced shadow would double-count every kind.
+	// tracer receives structured cache events when non-nil. Only the
+	// primary's events describe the modeled hardware; the shadow has none.
 	tracer obs.Tracer
 
 	Stats Stats
@@ -231,6 +233,9 @@ func New(cfg Config) *Cache {
 	if cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("core: %d entries not divisible by %d ways", cfg.Entries, cfg.Ways))
 	}
+	if cfg.MaxUse < 0 || cfg.MaxUse > maxUses || cfg.FillDefault < 0 || cfg.FillDefault > maxUses {
+		panic(fmt.Sprintf("core: max use %d or fill default %d outside [0,%d]", cfg.MaxUse, cfg.FillDefault, maxUses))
+	}
 	nsets := cfg.Entries / cfg.Ways
 	sets := make([][]entry, nsets)
 	backing := make([]entry, cfg.Entries)
@@ -245,14 +250,10 @@ func New(cfg Config) *Cache {
 		pregs:      make([]pregState, cfg.MaxPRegs),
 		setLoad:    make([]int, nsets),
 		setHighUse: make([]int, nsets),
-		rngState:   0x9e3779b97f4a7c15,
+		rngState:   rngSeed,
 	}
 	if cfg.ClassifyMisses && cfg.Ways < cfg.Entries {
-		sh := cfg
-		sh.Ways = 0 // fully associative
-		sh.Index = IndexRoundRobin
-		sh.ClassifyMisses = false
-		c.shadow = New(sh)
+		c.shadow = newFAShadow(cfg.Entries, cfg.MaxPRegs, cfg.Replace)
 	}
 	return c
 }
@@ -302,7 +303,7 @@ func (c *Cache) Pins(clamped int) bool { return clamped >= c.cfg.MaxUse }
 // it is chosen by the policy and travels with the rename mapping.
 func (c *Cache) Allocate(p PReg, predUses int) int {
 	st := c.state(p)
-	*st = pregState{live: true, predUses: uint8(min(predUses, 255))}
+	*st = pregState{live: true, predUses: uint8(min(predUses, maxUses))}
 	var set int
 	switch c.cfg.Index {
 	case IndexPReg:
@@ -334,7 +335,7 @@ func (c *Cache) Allocate(p PReg, predUses int) int {
 	}
 	st.set = int16(set)
 	if c.shadow != nil {
-		c.shadow.Allocate(p, predUses)
+		c.shadow.allocate(p)
 	}
 	return set
 }
@@ -367,9 +368,6 @@ func (c *Cache) releaseIndex(st *pregState) {
 // counters at retire).
 func (c *Cache) Retire(p PReg) {
 	c.releaseIndex(c.state(p))
-	if c.shadow != nil {
-		c.shadow.Retire(p)
-	}
 }
 
 func min(a, b int) int {

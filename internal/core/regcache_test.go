@@ -295,7 +295,7 @@ func TestNoteBypassUseKeepsShadowAligned(t *testing.T) {
 	if !ok || pu != 2 {
 		t.Fatalf("primary uses = %d (ok=%v), want 2", pu, ok)
 	}
-	su, _, ok := c.shadow.Lookup(1, 0)
+	su, _, ok := c.shadow.lookup(1)
 	if !ok || su != pu {
 		t.Fatalf("shadow uses = %d (ok=%v), want %d (aligned with primary)", su, ok, pu)
 	}
@@ -314,11 +314,11 @@ func TestNoteBypassUseKeepsShadowAligned(t *testing.T) {
 	if _, _, ok := c2.Lookup(0, 0); ok {
 		t.Fatal("preg 0 should have been evicted from the conflicting set")
 	}
-	if _, _, ok := c2.shadow.Lookup(0, 0); !ok {
+	if _, _, ok := c2.shadow.lookup(0); !ok {
 		t.Fatal("preg 0 should still be resident in the FA shadow")
 	}
 	c2.NoteBypassUse(0, 0)
-	if su, _, _ := c2.shadow.Lookup(0, 0); su != 2 {
+	if su, _, _ := c2.shadow.lookup(0); su != 2 {
 		t.Fatalf("shadow uses = %d after bypass use of an evicted value, want 2", su)
 	}
 }

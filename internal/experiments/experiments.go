@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"regcache/internal/sim"
@@ -136,13 +135,3 @@ func fmtF(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // fmtPct renders a fraction as a percentage.
 func fmtPct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-
-// sortedKeys returns map keys in sorted order (deterministic reports).
-func sortedKeys(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}

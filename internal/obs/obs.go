@@ -96,7 +96,6 @@ const (
 	StageWriteback                  // result produced, presented to register storage
 	StageRetire                     // committed (terminal)
 	StageSquash                     // cancelled on a misprediction (terminal)
-	NumPipeStages
 )
 
 func (s PipeStage) String() string {

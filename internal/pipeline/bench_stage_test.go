@@ -55,8 +55,15 @@ func benchConfigs() []benchConfig {
 	portT4 := port
 	portT4.Threads = 4
 
+	// sweep-cold's largest geometry: a 128-entry 4-way use-based cache,
+	// whose miss classification keeps a 128-way fully-associative shadow.
+	big := DefaultConfig()
+	big.CacheCfg.Entries = 128
+	big.CacheCfg.Ways = 4
+
 	return []benchConfig{
 		{"use-cache", cache},
+		{"use-128x4", big},
 		{"lru-cache", lru},
 		{"mono", mono},
 		{"twolevel", two},
