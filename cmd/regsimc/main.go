@@ -6,7 +6,6 @@
 //
 //	regsimc submit -server http://localhost:8080 -benches gzip,mcf -schemes use:64x2,mono:3
 //	regsimc submit -benches all -schemes use:64x2:filtered -async
-//	regsimc submit -server http://node1:8080,http://node2:8080 -benches all -schemes use:64x2
 //	regsimc status -job j-1 -wait 5s
 //	regsimc fetch  -job j-1 -o results.json
 //
@@ -21,7 +20,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -35,7 +33,6 @@ import (
 
 	"regcache/cmd/internal/cli"
 	"regcache/internal/fleet"
-	"regcache/internal/obs"
 	"regcache/internal/sim"
 )
 
@@ -87,11 +84,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `regsimc <submit|explore|status|fetch> [flags]
 
 submit: POST a sweep (scheme x benchmark matrix) to regsimd
-  -server URL   regsimd base URL (default http://localhost:8080); a
-                comma-separated list selects fleet mode — the client
-                scatters the sweep across the endpoints by consistent-
-                hashing each point, hedges stragglers, and merges the
-                partial results (no -async in fleet mode)
+  -server URL   regsimd base URL (default http://localhost:8080); for a
+                multi-node sweep, name one regsimd started with -peers
   -benches s    comma-separated benchmark names, or "all"
   -schemes s    comma-separated scheme specs (e.g. use:64x2:filtered,mono:3)
   -insts n      per-benchmark instruction budget (0 = server default)
@@ -145,6 +139,9 @@ func cmdSubmit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if strings.Contains(*server, ",") {
+		return invalidRequest{fmt.Errorf("-server takes one URL, got %q: to spread a sweep over several nodes, submit it to one regsimd started with -peers (the fleet gateway)", *server)}
+	}
 	req := sim.SweepRequest{
 		Benches:    cli.SplitList(*benches),
 		Schemes:    cli.SplitList(*schemes),
@@ -156,19 +153,8 @@ func cmdSubmit(args []string) error {
 	// Resolve client-side for fast feedback: the server runs the same
 	// resolve step, so a request it would refuse as malformed is never
 	// sent.
-	sw, err := req.Resolve()
-	if err != nil {
+	if _, err := req.Resolve(); err != nil {
 		return invalidRequest{err}
-	}
-	// A comma-separated -server list selects fleet mode: the client
-	// scatters the sweep across the endpoints itself (consistent-hash
-	// partitioning, hedged stragglers) instead of handing one node the
-	// whole matrix.
-	if servers := cli.SplitList(*server); len(servers) > 1 {
-		if *async {
-			return invalidRequest{fmt.Errorf("-async is not supported with multiple -server endpoints (the client gathers synchronously)")}
-		}
-		return submitFleet(servers, sw, *deadline, *out)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -255,34 +241,6 @@ func postJSON(server, path string, body []byte, maxRetries int) (*http.Response,
 			backoff = maxBackoff
 		}
 	}
-}
-
-// submitFleet runs a resolved sweep against a fleet of regsimd
-// endpoints: the client itself consistent-hashes each point to its owner
-// node, fans out leaf sub-sweeps, hedges stragglers, and merges the
-// partials into the same byte-stable document any single node would have
-// produced.
-func submitFleet(servers []string, sw sim.Sweep, deadline time.Duration, out string) error {
-	co := fleet.New(fleet.Config{Endpoints: servers})
-	ctx := context.Background()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	reqID := obs.NewRequestID()
-	file, err := co.Run(ctx, sw, reqID)
-	st := co.Stats()
-	fmt.Fprintf(os.Stderr, "regsimc: fleet %d nodes, %d partitions, %d hedges (%d won), %d points store-resolved, req %s\n",
-		len(co.Endpoints()), st.Partitions, st.Hedges, st.HedgeWins, st.PointsResolved, reqID)
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(file)
-	if err != nil {
-		return err
-	}
-	return reportResults(data, out)
 }
 
 func cmdStatus(args []string) error {

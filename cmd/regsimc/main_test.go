@@ -354,12 +354,13 @@ func TestShedStatus(t *testing.T) {
 }
 
 // TestSubmitRejectsBeforeSending replays the run-contract rejection table
-// shared with internal/sim and internal/serve through regsimc submit, in
-// single-server and fleet mode: every row fails client-side with an error
-// naming its field and classified for exit status 2, and no request ever
-// reaches a server. Rows carrying scheme records have no flag form and are
-// skipped. A valid request that the server refuses, or that never reaches
-// a server, keeps exit status 1.
+// shared with internal/sim and internal/serve through regsimc submit:
+// every row fails client-side with an error naming its field and
+// classified for exit status 2, and no request ever reaches a server.
+// Rows carrying scheme records have no flag form and are skipped. A
+// comma-separated -server list (multi-node sweeps go through a regsimd
+// -peers gateway) is refused the same way. A valid request that the
+// server refuses, or that never reaches a server, keeps exit status 1.
 func TestSubmitRejectsBeforeSending(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t.Errorf("server received %s %s for a request the client should have rejected", r.Method, r.URL.Path)
@@ -379,6 +380,13 @@ func TestSubmitRejectsBeforeSending(t *testing.T) {
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatal(err)
 	}
+	type rejection struct {
+		name, field string
+		args        []string
+	}
+	cases := []rejection{{"server list", "-server", []string{
+		"-server", ts.URL + "," + ts.URL, "-benches", "gzip", "-schemes", "use:16x2",
+	}}}
 	for _, row := range rows {
 		req := row.Request
 		if len(req.SchemeRecords) > 0 {
@@ -391,19 +399,20 @@ func TestSubmitRejectsBeforeSending(t *testing.T) {
 		if len(req.Schemes) > 0 {
 			schemes = strings.Join(req.Schemes, ",")
 		}
-		for _, server := range []string{ts.URL, ts.URL + "," + ts.URL} {
-			err := cmdSubmit([]string{
-				"-server", server, "-benches", benches, "-schemes", schemes,
-				"-intervals", strconv.Itoa(req.Intervals),
-				"-threads", strconv.Itoa(req.Threads),
-				"-interleave", strconv.Itoa(req.Interleave),
-			})
-			if err == nil || !strings.Contains(err.Error(), row.Field) {
-				t.Errorf("%s via %s: error %v, want one naming %q", row.Name, server, err, row.Field)
-			}
-			if err != nil && exitCode(err) != 2 {
-				t.Errorf("%s via %s: exit status %d for a client-side rejection, want 2", row.Name, server, exitCode(err))
-			}
+		cases = append(cases, rejection{row.Name, row.Field, []string{
+			"-server", ts.URL, "-benches", benches, "-schemes", schemes,
+			"-intervals", strconv.Itoa(req.Intervals),
+			"-threads", strconv.Itoa(req.Threads),
+			"-interleave", strconv.Itoa(req.Interleave),
+		}})
+	}
+	for _, c := range cases {
+		err := cmdSubmit(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.field)
+		}
+		if err != nil && exitCode(err) != 2 {
+			t.Errorf("%s: exit status %d for a client-side rejection, want 2", c.name, exitCode(err))
 		}
 	}
 

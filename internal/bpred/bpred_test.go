@@ -185,7 +185,10 @@ func TestRASMarkRestore(t *testing.T) {
 func TestYAGSOnGeneratedWorkload(t *testing.T) {
 	for _, name := range []string{"gzip", "twolf"} {
 		prof, _ := prog.ProfileByName(name)
-		p := prog.MustGenerate(prof)
+		p, err := prog.Generate(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
 		e := prog.NewExec(p)
 		y := NewYAGS(YAGSConfig{})
 		correct, total := 0, 0

@@ -352,22 +352,3 @@ func (c *Cache) noteOccupancy(now uint64) {
 
 // FinishSampling closes the occupancy integral at the end of simulation.
 func (c *Cache) FinishSampling(now uint64) { c.noteOccupancy(now) }
-
-// Occupied returns the current number of valid entries (for tests).
-func (c *Cache) Occupied() int { return c.Stats.occupied }
-
-// Lookup probes for p without any side effects (no LRU update, no use
-// decrement, no statistics). Used by tests and by the pipeline to model
-// the insertion-time bypass check.
-func (c *Cache) Lookup(p PReg, set int) (uses int, pinned, ok bool) {
-	if c.cfg.Index == IndexPReg {
-		set = int(p) % c.nsets
-	}
-	if st := c.state(p); st.inserted {
-		e := &c.sets[set][st.way]
-		if e.valid && e.preg == p {
-			return e.uses, e.pinned, true
-		}
-	}
-	return 0, false, false
-}

@@ -93,9 +93,6 @@ func (s IndexScheme) String() string {
 	return fmt.Sprintf("index?%d", int(s))
 }
 
-// Decoupled reports whether the scheme assigns sets at rename time.
-func (s IndexScheme) Decoupled() bool { return s != IndexPReg }
-
 // Config describes one register cache organization and policy set.
 type Config struct {
 	Entries int // total entries
@@ -159,12 +156,6 @@ func UseBasedConfig() Config {
 		Insert: InsertUseBased, Replace: ReplaceUseBased, Index: IndexFilteredRR,
 		ClassifyMisses: true,
 	}
-}
-
-// LRUConfig returns the Yung & Wilhelm reference design at the given
-// geometry: every value cached, LRU replacement.
-func LRUConfig(entries, ways int) Config {
-	return Config{Entries: entries, Ways: ways, Insert: InsertAlways, Replace: ReplaceLRU, Index: IndexRoundRobin, ClassifyMisses: true}
 }
 
 // entry is one register cache entry.
@@ -257,12 +248,6 @@ func New(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Config returns the (defaulted) configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return c.nsets }
 
 func (c *Cache) state(p PReg) *pregState {
 	// The pipeline wires its NumPRegs into Config.MaxPRegs (the documented

@@ -5,6 +5,21 @@ import (
 	"testing/quick"
 )
 
+// lookup probes for p without side effects: no LRU update, no use
+// decrement, no statistics.
+func (c *Cache) lookup(p PReg, set int) (uses int, pinned, ok bool) {
+	if c.cfg.Index == IndexPReg {
+		set = int(p) % c.nsets
+	}
+	if st := c.state(p); st.inserted {
+		e := &c.sets[set][st.way]
+		if e.valid && e.preg == p {
+			return e.uses, e.pinned, true
+		}
+	}
+	return 0, false, false
+}
+
 // tiny returns a 4-entry, 2-way cache for focused policy tests.
 func tiny(insert InsertPolicy, replace ReplacePolicy, index IndexScheme) *Cache {
 	return New(Config{Entries: 4, Ways: 2, Insert: insert, Replace: replace, Index: index})
@@ -12,7 +27,7 @@ func tiny(insert InsertPolicy, replace ReplacePolicy, index IndexScheme) *Cache 
 
 func TestConfigDefaults(t *testing.T) {
 	c := New(Config{})
-	cfg := c.Config()
+	cfg := c.cfg
 	if cfg.Entries != 64 || cfg.Ways != 64 {
 		t.Errorf("defaults: entries=%d ways=%d, want 64/64 (fully associative)", cfg.Entries, cfg.Ways)
 	}
@@ -27,13 +42,13 @@ func TestConfigDefaults(t *testing.T) {
 func TestUseBasedConfigIsPaperDesignPoint(t *testing.T) {
 	cfg := UseBasedConfig()
 	c := New(cfg)
-	got := c.Config()
+	got := c.cfg
 	if got.Entries != 64 || got.Ways != 2 || got.Insert != InsertUseBased ||
 		got.Replace != ReplaceUseBased || got.Index != IndexFilteredRR {
 		t.Errorf("UseBasedConfig = %+v", got)
 	}
-	if c.NumSets() != 32 {
-		t.Errorf("sets = %d, want 32", c.NumSets())
+	if c.nsets != 32 {
+		t.Errorf("sets = %d, want 32", c.nsets)
 	}
 	if got.SetSkipThreshold != 1 {
 		t.Errorf("skip threshold = %d, want ways/2 = 1", got.SetSkipThreshold)
@@ -59,12 +74,12 @@ func TestBasicHitAndUseDecrement(t *testing.T) {
 	if !c.Read(1, set, 11) {
 		t.Fatal("expected hit")
 	}
-	uses, _, ok := c.Lookup(1, set)
+	uses, _, ok := c.lookup(1, set)
 	if !ok || uses != 1 {
 		t.Fatalf("after one read: uses=%d ok=%v, want 1", uses, ok)
 	}
 	c.Read(1, set, 12)
-	uses, _, _ = c.Lookup(1, set)
+	uses, _, _ = c.lookup(1, set)
 	if uses != 0 {
 		t.Fatalf("after two reads: uses=%d, want 0", uses)
 	}
@@ -136,10 +151,10 @@ func TestUseBasedReplacementPicksFewestUses(t *testing.T) {
 	c.Produce(2, 0, 3, false, false, 11) // three uses
 	c.Allocate(3, 1)
 	c.Produce(3, 0, 1, false, false, 12)
-	if _, _, ok := c.Lookup(1, 0); ok {
+	if _, _, ok := c.lookup(1, 0); ok {
 		t.Fatal("zero-use entry should have been victimized")
 	}
-	if _, _, ok := c.Lookup(2, 0); !ok {
+	if _, _, ok := c.lookup(2, 0); !ok {
 		t.Fatal("high-use entry should survive")
 	}
 	if c.Stats.VictimsZeroUse != 1 || c.Stats.Victims != 1 {
@@ -155,10 +170,10 @@ func TestUseBasedReplacementLRUTiebreak(t *testing.T) {
 	c.Produce(2, 0, 1, false, false, 20) // same uses, younger
 	c.Allocate(3, 1)
 	c.Produce(3, 0, 1, false, false, 30)
-	if _, _, ok := c.Lookup(1, 0); ok {
+	if _, _, ok := c.lookup(1, 0); ok {
 		t.Fatal("older entry should lose the tie")
 	}
-	if _, _, ok := c.Lookup(2, 0); !ok {
+	if _, _, ok := c.lookup(2, 0); !ok {
 		t.Fatal("younger entry should survive the tie")
 	}
 }
@@ -172,10 +187,10 @@ func TestLRUReplacement(t *testing.T) {
 	c.Read(1, 0, 25) // touch 1: 2 becomes LRU
 	c.Allocate(3, 1)
 	c.Produce(3, 0, 1, false, false, 30)
-	if _, _, ok := c.Lookup(2, 0); ok {
+	if _, _, ok := c.lookup(2, 0); ok {
 		t.Fatal("LRU entry (preg 2) should have been evicted")
 	}
-	if _, _, ok := c.Lookup(1, 0); !ok {
+	if _, _, ok := c.lookup(1, 0); !ok {
 		t.Fatal("recently read entry should survive")
 	}
 }
@@ -187,7 +202,7 @@ func TestPinnedEntriesResistReplacementAndDecrement(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Read(1, 0, uint64(11+i))
 	}
-	uses, pinned, ok := c.Lookup(1, 0)
+	uses, pinned, ok := c.lookup(1, 0)
 	if !ok || !pinned || uses != 7 {
 		t.Fatalf("pinned entry: uses=%d pinned=%v ok=%v, want 7/true/true", uses, pinned, ok)
 	}
@@ -198,12 +213,12 @@ func TestPinnedEntriesResistReplacementAndDecrement(t *testing.T) {
 	c.Produce(3, 0, 0, false, false, 41)
 	c.Allocate(4, 0)
 	c.Produce(4, 0, 0, false, false, 42)
-	if _, _, ok := c.Lookup(1, 0); !ok {
+	if _, _, ok := c.lookup(1, 0); !ok {
 		t.Fatal("pinned entry was evicted")
 	}
 	// Only invalidate-on-free removes it.
 	c.Free(1, 50)
-	if _, _, ok := c.Lookup(1, 0); ok {
+	if _, _, ok := c.lookup(1, 0); ok {
 		t.Fatal("freed pinned entry still resident")
 	}
 }
@@ -214,7 +229,7 @@ func TestFillUsesFillDefault(t *testing.T) {
 	c.Produce(1, set, 0, false, true, 10) // filtered
 	c.Read(1, set, 20)                    // miss
 	c.Fill(1, set, 28)
-	uses, pinned, ok := c.Lookup(1, set)
+	uses, pinned, ok := c.lookup(1, set)
 	if !ok || uses != 0 || pinned {
 		t.Fatalf("fill: uses=%d pinned=%v ok=%v, want 0/false/true", uses, pinned, ok)
 	}
@@ -233,7 +248,7 @@ func TestFillAfterFreeIsDropped(t *testing.T) {
 	c.Produce(1, set, 1, false, false, 10)
 	c.Free(1, 20)
 	c.Fill(1, set, 25) // in-flight fill completing after squash/free
-	if _, _, ok := c.Lookup(1, set); ok {
+	if _, _, ok := c.lookup(1, set); ok {
 		t.Fatal("fill after free must not install a stale value")
 	}
 }
@@ -264,7 +279,7 @@ func TestNoteBypassUseDecrementsResident(t *testing.T) {
 	set := c.Allocate(1, 3)
 	c.Produce(1, set, 3, false, false, 10)
 	c.NoteBypassUse(1, set)
-	uses, _, _ := c.Lookup(1, set)
+	uses, _, _ := c.lookup(1, set)
 	if uses != 2 {
 		t.Fatalf("uses = %d after bypass note, want 2", uses)
 	}
@@ -272,7 +287,7 @@ func TestNoteBypassUseDecrementsResident(t *testing.T) {
 	set2 := c.Allocate(2, 7)
 	c.Produce(2, set2, 7, true, false, 11)
 	c.NoteBypassUse(2, set2)
-	uses, _, _ = c.Lookup(2, set2)
+	uses, _, _ = c.lookup(2, set2)
 	if uses != 7 {
 		t.Fatalf("pinned uses = %d after bypass note, want 7", uses)
 	}
@@ -291,7 +306,7 @@ func TestNoteBypassUseKeepsShadowAligned(t *testing.T) {
 	set := c.Allocate(1, 3)
 	c.Produce(1, set, 3, false, false, 10)
 	c.NoteBypassUse(1, set)
-	pu, _, ok := c.Lookup(1, set)
+	pu, _, ok := c.lookup(1, set)
 	if !ok || pu != 2 {
 		t.Fatalf("primary uses = %d (ok=%v), want 2", pu, ok)
 	}
@@ -311,7 +326,7 @@ func TestNoteBypassUseKeepsShadowAligned(t *testing.T) {
 		c2.Allocate(p, 3)
 		c2.Produce(p, 0, 3, false, false, uint64(10+p))
 	}
-	if _, _, ok := c2.Lookup(0, 0); ok {
+	if _, _, ok := c2.lookup(0, 0); ok {
 		t.Fatal("preg 0 should have been evicted from the conflicting set")
 	}
 	if _, _, ok := c2.shadow.lookup(0); !ok {
@@ -351,8 +366,8 @@ func TestFillRefreshFinalizesResidency(t *testing.T) {
 	}
 	// Occupancy must be unperturbed by the refresh (still one residency at
 	// a time, zero after the free).
-	if c.Occupied() != 0 {
-		t.Fatalf("occupied = %d after free, want 0", c.Occupied())
+	if c.Stats.occupied != 0 {
+		t.Fatalf("occupied = %d after free, want 0", c.Stats.occupied)
 	}
 }
 
@@ -371,7 +386,7 @@ func TestOutOfRangePRegPanics(t *testing.T) {
 		}()
 	}
 	// In-range pregs keep working.
-	if set := c.Allocate(15, 1); set < 0 || set >= c.NumSets() {
+	if set := c.Allocate(15, 1); set < 0 || set >= c.nsets {
 		t.Fatalf("in-range allocation failed: set %d", set)
 	}
 }
@@ -543,8 +558,8 @@ func TestNonPowerOfTwoSizeWithDecoupledIndexing(t *testing.T) {
 	// Section 4.1: decoupled indexing trivially enables non-power-of-two
 	// caches. 48 entries, 2 ways = 24 sets.
 	c := New(Config{Entries: 48, Ways: 2, Insert: InsertUseBased, Replace: ReplaceUseBased, Index: IndexFilteredRR})
-	if c.NumSets() != 24 {
-		t.Fatalf("sets = %d, want 24", c.NumSets())
+	if c.nsets != 24 {
+		t.Fatalf("sets = %d, want 24", c.nsets)
 	}
 	for p := PReg(0); p < 100; p++ {
 		set := c.Allocate(p, int(p)%8)
@@ -587,13 +602,13 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 					live[p] = false
 				}
 			}
-			if c.Occupied() > 8 || c.Occupied() < 0 {
+			if c.Stats.occupied > 8 || c.Stats.occupied < 0 {
 				return false
 			}
 		}
 		// Every resident entry must belong to a live preg.
 		for p := PReg(0); p < 16; p++ {
-			if _, _, ok := c.Lookup(p, sets[p]); ok && !live[p] {
+			if _, _, ok := c.lookup(p, sets[p]); ok && !live[p] {
 				return false
 			}
 		}
@@ -668,8 +683,5 @@ func TestPolicyStringers(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("stringer: got %q want %q", c.got, c.want)
 		}
-	}
-	if IndexPReg.Decoupled() || !IndexFilteredRR.Decoupled() {
-		t.Error("Decoupled classification wrong")
 	}
 }

@@ -130,7 +130,7 @@ func shadowLockstep(t *testing.T, cfg Config, rng *rand.Rand, ops int) {
 		}
 		for q := PReg(0); q < PReg(npregs); q++ {
 			su, sp, sok := c.shadow.lookup(q)
-			ru, rp, rok := ref.Lookup(q, 0)
+			ru, rp, rok := ref.lookup(q, 0)
 			if su != ru || sp != rp || sok != rok {
 				t.Fatalf("op %d (%s p%d, now %d): p%d shadow (uses %d, pinned %v, resident %v), reference (uses %d, pinned %v, resident %v)",
 					i, op, p, now, q, su, sp, sok, ru, rp, rok)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -86,37 +87,47 @@ func TestCacheEventGolden(t *testing.T) {
 	}
 }
 
-// TestCacheLogAggregates checks the sink's running aggregates against the
+// TestCacheLogAggregates checks the sink's event counts against the
 // cache's own statistics for the same run.
 func TestCacheLogAggregates(t *testing.T) {
 	var buf bytes.Buffer
 	log := obs.NewCacheLog(&buf)
 	c := traceCache(log)
 	driveTraceScript(c)
-
-	checks := []struct {
-		name string
-		kind obs.CacheEventKind
-		want uint64
-	}{
-		{"writes", obs.CacheWrite, c.Stats.InitialWrites},
-		{"fills", obs.CacheFill, c.Stats.Fills},
-		{"hits", obs.CacheHit, c.Stats.Hits},
-		{"misses", obs.CacheMiss, c.Stats.Misses},
-		{"evictions", obs.CacheEvict, c.Stats.Evictions},
-		{"invalidations", obs.CacheInvalidate, c.Stats.Invalidations},
-		{"filtered writes", obs.CacheWriteFiltered, c.Stats.WritesFiltered},
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, ck := range checks {
-		if got := log.Count(ck.kind); got != ck.want {
-			t.Errorf("%s: log saw %d, cache counted %d", ck.name, got, ck.want)
+	counts := map[string]uint64{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var ev struct{ Ev, Miss string }
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		counts[ev.Ev]++
+		if ev.Miss != "" {
+			counts["miss:"+ev.Miss]++
 		}
 	}
-	if got := log.MissCount(int8(MissFiltered)); got != c.Stats.MissBy[MissFiltered] {
-		t.Errorf("filtered misses: log %d, cache %d", got, c.Stats.MissBy[MissFiltered])
+
+	checks := []struct {
+		key  string
+		want uint64
+	}{
+		{obs.CacheWrite.String(), c.Stats.InitialWrites},
+		{obs.CacheFill.String(), c.Stats.Fills},
+		{obs.CacheHit.String(), c.Stats.Hits},
+		{obs.CacheMiss.String(), c.Stats.Misses},
+		{obs.CacheEvict.String(), c.Stats.Evictions},
+		{obs.CacheInvalidate.String(), c.Stats.Invalidations},
+		{obs.CacheWriteFiltered.String(), c.Stats.WritesFiltered},
+		{"miss:" + obs.MissKindName(int8(MissFiltered)), c.Stats.MissBy[MissFiltered]},
+		{"miss:" + obs.MissKindName(int8(MissConflict)), c.Stats.MissBy[MissConflict]},
 	}
-	if got := log.MissCount(int8(MissConflict)); got != c.Stats.MissBy[MissConflict] {
-		t.Errorf("conflict misses: log %d, cache %d", got, c.Stats.MissBy[MissConflict])
+	for _, ck := range checks {
+		if counts[ck.key] != ck.want {
+			t.Errorf("%s: log holds %d, cache counted %d", ck.key, counts[ck.key], ck.want)
+		}
 	}
 	// The script evicts p0 with 1 remaining use and p3 with 0: the evict
 	// histogram is the Figure 5 distribution source.

@@ -43,21 +43,20 @@ const (
 // Cost returns the area proxy for a scheme. It is positive for every
 // scheme the sim layer accepts.
 func Cost(s sim.Scheme) float64 {
-	mc := pipeline.DefaultConfig()
-	ports := 3 * float64(mc.IssueWidth)
+	ports := 3 * float64(pipeline.IssueWidth)
 	switch s.Kind {
 	case pipeline.SchemeCache:
 		pregs := s.Cache.MaxPRegs
 		if pregs == 0 {
-			pregs = mc.NumPRegs
+			pregs = pipeline.NumPRegs
 		}
 		backingPorts := float64(max(1, s.ReadPorts))
 		return float64(s.Cache.Entries)*ports*costBitWidth +
 			float64(pregs)*backingPorts*costBitWidth
 	case pipeline.SchemeTwoLevel:
 		return float64(s.TwoLevel.L1Entries)*ports*costBitWidth +
-			float64(mc.NumPRegs)*ports*costBackingPortFrac*costBitWidth
+			float64(pipeline.NumPRegs)*ports*costBackingPortFrac*costBitWidth
 	default: // monolithic
-		return float64(mc.NumPRegs) * ports * costBitWidth
+		return float64(pipeline.NumPRegs) * ports * costBitWidth
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"testing"
 	"time"
 
+	"regcache/internal/fleet"
+	"regcache/internal/obs"
 	"regcache/internal/serve"
 	"regcache/internal/sim"
 	"regcache/internal/store"
@@ -52,6 +54,7 @@ func clusterMatrix(t *testing.T) (benches []string, schemes []sim.Scheme, opts s
 type clusterNode struct {
 	url     string
 	srv     *serve.Server
+	metrics *obs.Registry // the node's serve.* metrics
 	ts      *httptest.Server
 	backend *sim.Runner
 	store   *sim.ResultStore
@@ -73,9 +76,21 @@ func (n *clusterNode) drain(tb testing.TB) {
 
 type cluster struct {
 	nodes []*clusterNode
+	ring  *fleet.Ring // every member's view of point ownership
 }
 
 func (c *cluster) gateway() *clusterNode { return c.nodes[0] }
+
+// ownerOf returns the member owning one point: the node whose store
+// shard holds (or will hold) its result.
+func (c *cluster) ownerOf(bench string, s sim.Scheme, o sim.Options) string {
+	return c.ring.Owner(sim.FingerprintPoint(bench, s, o))
+}
+
+// fleetCounter reads one of the gateway's serve.fleet.* counters.
+func (c *cluster) fleetCounter(name string) uint64 {
+	return c.gateway().metrics.Snapshot()["serve.fleet."+name].(uint64)
+}
 
 // jobsRun sums simulations actually executed across the whole fleet —
 // the "no duplicate work" ledger.
@@ -130,7 +145,7 @@ func startCluster(t *testing.T, n int, opts clusterOpts) *cluster {
 	if opts.hedgeAfter == 0 {
 		opts.hedgeAfter = 10 * time.Second
 	}
-	c := &cluster{}
+	c := &cluster{ring: fleet.NewRing(urls)}
 	for i := 0; i < n; i++ {
 		node := &clusterNode{url: urls[i]}
 		node.backend = sim.NewRunnerWith(2, wc)
@@ -159,6 +174,8 @@ func startCluster(t *testing.T, n int, opts clusterOpts) *cluster {
 			Store:           node.store,
 			FleetHedgeAfter: opts.hedgeAfter,
 		})
+		node.metrics = obs.NewRegistry()
+		node.srv.RegisterMetrics(node.metrics, "serve")
 		h := node.srv.Handler()
 		if opts.wrap != nil {
 			h = opts.wrap(i, node, h)
@@ -206,14 +223,10 @@ func postSweep(t *testing.T, url, body string) (int, []byte) {
 func pickVictim(t *testing.T, c *cluster) (victim, owned int) {
 	t.Helper()
 	benches, schemes, opts := clusterMatrix(t)
-	co := c.gateway().srv.Fleet()
-	if co == nil {
-		t.Fatal("gateway has no fleet coordinator")
-	}
 	byNode := make(map[string]int)
 	for _, sc := range schemes {
 		for _, b := range benches {
-			byNode[co.OwnerOf(b, sc, opts)]++
+			byNode[c.ownerOf(b, sc, opts)]++
 		}
 	}
 	victim = -1
@@ -305,7 +318,7 @@ func TestClusterThreadsByteStable(t *testing.T) {
 	remote := 0
 	for _, sc := range schemes {
 		for _, b := range benches {
-			if c.gateway().srv.Fleet().OwnerOf(b, sc, opts) != c.gateway().url {
+			if c.ownerOf(b, sc, opts) != c.gateway().url {
 				remote++
 			}
 		}
@@ -374,7 +387,8 @@ func TestClusterKilledNodeHedge(t *testing.T) {
 	// the ledger so "no re-simulation" below is an exact == 0 assertion.
 	c.resetStats()
 	victim, owned := pickVictim(t, c)
-	before := c.gateway().srv.Fleet().Stats()
+	hedgesBefore, winsBefore := c.fleetCounter("hedges"), c.fleetCounter("hedge_wins")
+	resolvedBefore := c.fleetCounter("points_store_resolved")
 	victimIdx.Store(int32(victim))
 	t.Logf("victim %s owns %d/%d points", c.nodes[victim].url, owned, clusterPoints)
 
@@ -389,14 +403,13 @@ func TestClusterKilledNodeHedge(t *testing.T) {
 	if got := c.jobsRun(); got != 0 {
 		t.Errorf("jobs run during hedged sweep = %d, want 0 (store shards must prevent re-simulation)", got)
 	}
-	after := c.gateway().srv.Fleet().Stats()
-	if after.Hedges == before.Hedges {
-		t.Errorf("no hedges launched (before %+v, after %+v)", before, after)
+	if c.fleetCounter("hedges") == hedgesBefore {
+		t.Errorf("no hedges launched (%d before and after)", hedgesBefore)
 	}
-	if after.HedgeWins == before.HedgeWins {
-		t.Errorf("no hedge won the dead node's partition (before %+v, after %+v)", before, after)
+	if c.fleetCounter("hedge_wins") == winsBefore {
+		t.Errorf("no hedge won the dead node's partition (%d wins before and after)", winsBefore)
 	}
-	if resolved := after.PointsResolved - before.PointsResolved; resolved < uint64(owned) {
+	if resolved := c.fleetCounter("points_store_resolved") - resolvedBefore; resolved < uint64(owned) {
 		t.Errorf("points resolved from peer store = %d, want >= %d (the victim's share)", resolved, owned)
 	}
 	if h := held.Load(); h == 0 {
@@ -464,9 +477,8 @@ func TestClusterDrainRedispatch(t *testing.T) {
 	if drainHit.Load() == 0 {
 		t.Fatal("victim never saw a sub-sweep POST; drain race not exercised")
 	}
-	st := c.gateway().srv.Fleet().Stats()
-	if st.Redispatches == 0 {
-		t.Errorf("no re-dispatches recorded racing a drain (stats %+v)", st)
+	if c.fleetCounter("redispatches") == 0 {
+		t.Error("no re-dispatches recorded racing a drain")
 	}
 }
 
@@ -482,11 +494,10 @@ func TestClusterStoreEndpointServesShard(t *testing.T) {
 	}
 	c.resetStats() // fence: wait for the asynchronous store appends
 	benches, schemes, opts := clusterMatrix(t)
-	co := c.gateway().srv.Fleet()
 	checked := 0
 	for _, sc := range schemes {
 		for _, b := range benches {
-			owner := co.OwnerOf(b, sc, opts)
+			owner := c.ownerOf(b, sc, opts)
 			key := sim.FingerprintPoint(b, sc, opts)
 			resp, err := http.Get(fmt.Sprintf("%s/v1/store/%s", owner, key.String()))
 			if err != nil {

@@ -65,7 +65,7 @@ type LocalExec func(ctx context.Context, part sim.Sweep) (*sim.ResultsFile, erro
 // Config describes a Coordinator's fleet.
 type Config struct {
 	Endpoints []string  // every node of the fleet (identical strings on every member)
-	Self      string    // endpoint executed via Local instead of HTTP ("" = pure client)
+	Self      string    // endpoint executed via Local instead of HTTP ("" = none)
 	Local     LocalExec // in-process executor for Self's partitions
 
 	// HedgeAfter is the straggler deadline used until the latency
@@ -87,19 +87,6 @@ const (
 
 	generator = "regsimd" // the merged document's generator field
 )
-
-// Stats is a snapshot of the coordinator's counters.
-type Stats struct {
-	Partitions     uint64 // partitions dispatched across all sweeps
-	SubSweeps      uint64 // sub-sweep attempts launched (HTTP or local)
-	Hedges         uint64 // attempts launched by the straggler deadline
-	HedgeWins      uint64 // partitions won by a hedge, primary cancelled
-	Redispatches   uint64 // attempts launched because a prior one failed
-	BusyRetries    uint64 // same-node retries after a 429 Retry-After wait
-	StoreProbes    uint64 // peer store GETs issued before re-dispatch
-	StoreHits      uint64 // peer store GETs that resolved a point
-	PointsResolved uint64 // points answered purely from a peer's store shard
-}
 
 // Coordinator scatters sweeps across a fleet and gathers the partials
 // into one byte-stable document. Safe for concurrent use.
@@ -136,27 +123,6 @@ func New(cfg Config) *Coordinator {
 
 // Endpoints returns the fleet's distinct endpoints, sorted.
 func (c *Coordinator) Endpoints() []string { return c.ring.Nodes() }
-
-// OwnerOf returns the endpoint owning one point — the node whose durable
-// store shard holds (or will hold) its result.
-func (c *Coordinator) OwnerOf(bench string, s sim.Scheme, o sim.Options) string {
-	return c.ring.Owner(sim.FingerprintPoint(bench, s, o))
-}
-
-// Stats snapshots the coordinator counters.
-func (c *Coordinator) Stats() Stats {
-	return Stats{
-		Partitions:     c.partitions.Value(),
-		SubSweeps:      c.subsweeps.Value(),
-		Hedges:         c.hedges.Value(),
-		HedgeWins:      c.hedgeWins.Value(),
-		Redispatches:   c.redispatches.Value(),
-		BusyRetries:    c.busyRetries.Value(),
-		StoreProbes:    c.storeProbes.Value(),
-		StoreHits:      c.storeHits.Value(),
-		PointsResolved: c.pointsResolved.Value(),
-	}
-}
 
 // RegisterMetrics publishes the fabric counters and the per-partition
 // latency histogram under prefix (e.g. "serve.fleet").
@@ -345,9 +311,7 @@ func (c *Coordinator) recordLatency(wall time.Duration, n int) {
 		ms = 1
 	}
 	c.histMu.Lock()
-	for i := 0; i < n; i++ {
-		c.lat.Add(ms)
-	}
+	c.lat.AddN(ms, uint64(n))
 	c.histMu.Unlock()
 }
 

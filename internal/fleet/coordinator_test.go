@@ -113,6 +113,11 @@ func nodeByURL(t *testing.T, nodes []*testNode, url string) *testNode {
 	return nil
 }
 
+// ownerOf returns the endpoint owning one point on the coordinator's ring.
+func ownerOf(co *Coordinator, bench string, s sim.Scheme, o sim.Options) string {
+	return co.ring.Owner(sim.FingerprintPoint(bench, s, o))
+}
+
 var testSchemes = mustSchemes("use:16x2:filtered", "mono:3")
 
 func mustSchemes(specs ...string) []sim.Scheme {
@@ -201,7 +206,7 @@ func TestCoordinatorBusyRetryHonorsRetryAfter(t *testing.T) {
 	if _, err := co.Run(context.Background(), singlePointSpec(), ""); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := co.Stats().BusyRetries; got != 1 {
+	if got := co.busyRetries.Value(); got != 1 {
 		t.Fatalf("BusyRetries = %d, want 1", got)
 	}
 	if gap := retried.Sub(firstShed); gap < 700*time.Millisecond {
@@ -212,7 +217,7 @@ func TestCoordinatorBusyRetryHonorsRetryAfter(t *testing.T) {
 func TestCoordinatorRedispatchOnDrain503(t *testing.T) {
 	nodes, co := newTestFleet(t, 2, Config{})
 	spec := singlePointSpec()
-	owner := nodeByURL(t, nodes, co.OwnerOf(spec.Benches[0], spec.Schemes[0], spec.Opts))
+	owner := nodeByURL(t, nodes, ownerOf(co, spec.Benches[0], spec.Schemes[0], spec.Opts))
 	owner.setHandler(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, `{"error":"server is draining"}`, http.StatusServiceUnavailable)
@@ -225,14 +230,13 @@ func TestCoordinatorRedispatchOnDrain503(t *testing.T) {
 	if len(file.Runs) != 1 {
 		t.Fatalf("%d runs, want 1", len(file.Runs))
 	}
-	st := co.Stats()
-	if st.Redispatches != 1 {
-		t.Fatalf("Redispatches = %d, want 1", st.Redispatches)
+	if got := co.redispatches.Value(); got != 1 {
+		t.Fatalf("Redispatches = %d, want 1", got)
 	}
 	// Draining advances to the next ring node immediately — it must not
 	// burn the same-node busy-retry budget or wait out the Retry-After.
-	if st.BusyRetries != 0 {
-		t.Fatalf("BusyRetries = %d, want 0 for a drain 503", st.BusyRetries)
+	if got := co.busyRetries.Value(); got != 0 {
+		t.Fatalf("BusyRetries = %d, want 0 for a drain 503", got)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("drain re-dispatch took %v, want immediate advance", elapsed)
@@ -242,7 +246,7 @@ func TestCoordinatorRedispatchOnDrain503(t *testing.T) {
 func TestCoordinatorHedgesStraggler(t *testing.T) {
 	nodes, co := newTestFleet(t, 2, Config{HedgeAfter: 50 * time.Millisecond})
 	spec := singlePointSpec()
-	owner := nodeByURL(t, nodes, co.OwnerOf(spec.Benches[0], spec.Schemes[0], spec.Opts))
+	owner := nodeByURL(t, nodes, ownerOf(co, spec.Benches[0], spec.Schemes[0], spec.Opts))
 	// The owner hangs on sub-sweeps (until the winner cancels it) but
 	// still answers store probes with a miss — the killed-node-but-
 	// reachable-disk case is covered separately. The body must be drained
@@ -264,9 +268,8 @@ func TestCoordinatorHedgesStraggler(t *testing.T) {
 	if len(file.Runs) != 1 {
 		t.Fatalf("%d runs, want 1", len(file.Runs))
 	}
-	st := co.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("Hedges = %d, HedgeWins = %d, want 1/1", st.Hedges, st.HedgeWins)
+	if hedges, wins := co.hedges.Value(), co.hedgeWins.Value(); hedges != 1 || wins != 1 {
+		t.Fatalf("Hedges = %d, HedgeWins = %d, want 1/1", hedges, wins)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("hedged completion took %v, want well under the stuck primary's lifetime", elapsed)
@@ -285,7 +288,7 @@ func TestCoordinatorPeerStoreResolvesPoints(t *testing.T) {
 	stored := make(map[string][]byte)
 	var ownedByDown, ownedByLive int
 	for _, b := range benches {
-		ownerURL := co.OwnerOf(b, sc, opts)
+		ownerURL := ownerOf(co, b, sc, opts)
 		if downNode == nil && ownerURL != "" {
 			downNode = nodeByURL(t, nodes, ownerURL)
 		}
@@ -322,10 +325,9 @@ func TestCoordinatorPeerStoreResolvesPoints(t *testing.T) {
 	if len(file.Runs) != len(benches) {
 		t.Fatalf("%d runs, want %d", len(file.Runs), len(benches))
 	}
-	st := co.Stats()
-	if int(st.StoreHits) != ownedByDown || int(st.PointsResolved) != ownedByDown {
+	if hits, resolved := co.storeHits.Value(), co.pointsResolved.Value(); int(hits) != ownedByDown || int(resolved) != ownedByDown {
 		t.Fatalf("StoreHits = %d, PointsResolved = %d, want both %d (down node's points answered from its shard)",
-			st.StoreHits, st.PointsResolved, ownedByDown)
+			hits, resolved, ownedByDown)
 	}
 	// Zero duplicate simulations: the live node executed only its own
 	// points — the down node's points came purely from the store probes.
@@ -342,7 +344,7 @@ func TestCoordinatorPeerStoreResolvesPoints(t *testing.T) {
 func TestCoordinatorPermanentRejectionAborts(t *testing.T) {
 	nodes, co := newTestFleet(t, 2, Config{})
 	spec := singlePointSpec()
-	owner := nodeByURL(t, nodes, co.OwnerOf(spec.Benches[0], spec.Schemes[0], spec.Opts))
+	owner := nodeByURL(t, nodes, ownerOf(co, spec.Benches[0], spec.Schemes[0], spec.Opts))
 	owner.setHandler(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"unknown benchmark"}`, http.StatusBadRequest)
 	})
@@ -355,8 +357,8 @@ func TestCoordinatorPermanentRejectionAborts(t *testing.T) {
 	}
 	// A 400 means the request itself is bad — trying other nodes would
 	// just spread it.
-	if st := co.Stats(); st.Redispatches != 0 {
-		t.Fatalf("Redispatches = %d, want 0 after a permanent rejection", st.Redispatches)
+	if got := co.redispatches.Value(); got != 0 {
+		t.Fatalf("Redispatches = %d, want 0 after a permanent rejection", got)
 	}
 }
 

@@ -5,10 +5,9 @@
 // ring owner is also the node whose store shard holds its cached result,
 // because both use the same sim.Fingerprint canonicalization).
 //
-// The package is used from two places: internal/serve layers it behind
-// POST /v1/sweep when regsimd runs with -peers (a node executes its owned
-// points locally and proxies the rest), and cmd/regsimc uses it directly
-// when given multiple -server endpoints.
+// internal/serve layers it behind POST /v1/sweep when regsimd runs with
+// -peers: the node a client submits to is the gateway, executing its
+// owned points locally and proxying the rest.
 package fleet
 
 import (

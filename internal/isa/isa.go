@@ -212,19 +212,6 @@ type Inst struct {
 // InstBytes is the architectural size of one instruction.
 const InstBytes = 4
 
-// NumSrcs returns how many register source operands the instruction reads
-// (zero registers still count as operand slots but create no dependency).
-func (in *Inst) NumSrcs() int {
-	n := 0
-	if in.Src1 != RegNone {
-		n++
-	}
-	if in.Src2 != RegNone {
-		n++
-	}
-	return n
-}
-
 // HasDest reports whether the instruction writes a (non-zero) architectural
 // register.
 func (in *Inst) HasDest() bool {

@@ -144,8 +144,8 @@ func TestOrderingComplementProperty(t *testing.T) {
 
 func TestInstHelpers(t *testing.T) {
 	in := Inst{Op: OpIAlu, Fn: FnAdd, Dest: IntR(3), Src1: IntR(1), Src2: IntR(2), PC: 0x1000}
-	if in.NumSrcs() != 2 || !in.HasDest() {
-		t.Error("operand counting wrong")
+	if !in.HasDest() {
+		t.Error("register write should count as a dest")
 	}
 	if in.FallThrough() != 0x1004 {
 		t.Error("fall-through wrong")
@@ -154,11 +154,8 @@ func TestInstHelpers(t *testing.T) {
 	if zero.HasDest() {
 		t.Error("write to zero register should not count as a dest")
 	}
-	if zero.NumSrcs() != 1 {
-		t.Error("single-source count wrong")
-	}
 	none := Inst{Op: OpJump}
-	if none.NumSrcs() != 0 || none.HasDest() {
+	if none.HasDest() {
 		t.Error("no-operand instruction misclassified")
 	}
 }

@@ -124,10 +124,6 @@ func (c *Cache) StartFill(addr, ready uint64) {
 	c.inflight[c.lineAddr(addr)] = ready
 }
 
-// FillNow immediately installs addr's line (prefetch-buffer promotion or
-// test setup), evicting the set's LRU line into the victim buffer.
-func (c *Cache) FillNow(addr, now uint64) { c.install(c.lineAddr(addr), now) }
-
 func (c *Cache) install(la, now uint64) {
 	set := c.sets[la&uint64(len(c.sets)-1)]
 	tag := la / uint64(len(c.sets))
@@ -147,14 +143,6 @@ func (c *Cache) install(la, now uint64) {
 	}
 place:
 	set[victim] = line{tag: tag, valid: true, lru: now}
-}
-
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // fifoBuffer is a fixed-capacity FIFO set of line addresses (the combined

@@ -1,58 +1,23 @@
 package memsys
 
-// Config describes the full hierarchy. Zero values select Table 1.
-type Config struct {
-	L1I, L1D        CacheConfig
-	L2              CacheConfig
-	L2Latency       int // cycles for an L1-miss/L2-hit fill
-	MemLatency      int // cycles for an L2-miss fill
-	StoreBufEntries int
-	PrefetchDegree  int // lines fetched ahead by the unit-stride prefetcher
-}
-
-// DefaultConfig returns the Table 1 memory system.
-func DefaultConfig() Config {
-	return Config{
-		L1I:             CacheConfig{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, VictimEntries: 64},
-		L1D:             CacheConfig{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, VictimEntries: 64},
-		L2:              CacheConfig{SizeBytes: 1 << 20, Ways: 4, LineBytes: 128, VictimEntries: 64},
-		L2Latency:       12,
-		MemLatency:      180,
-		StoreBufEntries: 16,
-		PrefetchDegree:  2,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.L1I.SizeBytes == 0 {
-		c.L1I = d.L1I
-	}
-	if c.L1D.SizeBytes == 0 {
-		c.L1D = d.L1D
-	}
-	if c.L2.SizeBytes == 0 {
-		c.L2 = d.L2
-	}
-	if c.L2Latency == 0 {
-		c.L2Latency = d.L2Latency
-	}
-	if c.MemLatency == 0 {
-		c.MemLatency = d.MemLatency
-	}
-	if c.StoreBufEntries == 0 {
-		c.StoreBufEntries = d.StoreBufEntries
-	}
-	if c.PrefetchDegree == 0 {
-		c.PrefetchDegree = d.PrefetchDegree
-	}
-	return c
-}
+// The Table 1 memory system, the one every pipeline builds.
+const (
+	L1Bytes         = 32 << 10 // each of the split L1I and L1D
+	L1Ways          = 2
+	L1LineBytes     = 64
+	L2Bytes         = 1 << 20 // unified
+	L2Ways          = 4
+	L2LineBytes     = 128
+	VictimEntries   = 64  // victim/prefetch buffer entries on each level
+	L2Latency       = 12  // cycles for an L1-miss/L2-hit fill
+	MemLatency      = 180 // cycles for an L2-miss fill
+	StoreBufEntries = 16
+	PrefetchDegree  = 2 // lines fetched ahead by the unit-stride prefetcher
+)
 
 // Hierarchy is the full memory system. All methods take the current cycle;
 // the model is a latency oracle with tag state (see the package comment).
 type Hierarchy struct {
-	cfg Config
 	l1i *Cache
 	l1d *Cache
 	l2  *Cache
@@ -73,14 +38,13 @@ type sbufEntry struct {
 	ready uint64 // cycle the entry finishes writing through to the L1D
 }
 
-// New builds a hierarchy.
-func New(cfg Config) *Hierarchy {
-	cfg = cfg.withDefaults()
+// New builds the Table 1 hierarchy, cold.
+func New() *Hierarchy {
+	l1 := CacheConfig{SizeBytes: L1Bytes, Ways: L1Ways, LineBytes: L1LineBytes, VictimEntries: VictimEntries}
 	return &Hierarchy{
-		cfg: cfg,
-		l1i: NewCache(cfg.L1I),
-		l1d: NewCache(cfg.L1D),
-		l2:  NewCache(cfg.L2),
+		l1i: NewCache(l1),
+		l1d: NewCache(l1),
+		l2:  NewCache(CacheConfig{SizeBytes: L2Bytes, Ways: L2Ways, LineBytes: L2LineBytes, VictimEntries: VictimEntries}),
 	}
 }
 
@@ -99,25 +63,25 @@ func (h *Hierarchy) access(l1 *Cache, addr, now uint64, lastLine *uint64) int {
 	// L2 probe.
 	var extra int
 	if hit, _ := h.l2.Lookup(addr, now); hit {
-		extra = h.cfg.L2Latency
+		extra = L2Latency
 	} else if rdy, ok := h.l2.inflight[h.l2.lineAddr(addr)]; ok && rdy > now {
-		extra = int(rdy-now) + h.cfg.L2Latency
+		extra = int(rdy-now) + L2Latency
 		// L2 fill already on the way; L1 fill completes L2Latency later.
 	} else {
-		extra = h.cfg.MemLatency
-		h.l2.StartFill(addr, now+uint64(h.cfg.MemLatency))
+		extra = MemLatency
+		h.l2.StartFill(addr, now+MemLatency)
 	}
 	l1.StartFill(addr, now+uint64(extra))
 	// Opportunistic unit-stride prefetch: on a miss that continues a
 	// sequential stream, pull the following lines into the level.
 	if la == *lastLine+1 {
-		for i := 1; i <= h.cfg.PrefetchDegree; i++ {
+		for i := 1; i <= PrefetchDegree; i++ {
 			next := (la + uint64(i)) << l1.lineShift
 			if !l1.Contains(next) {
 				if _, ok := l1.inflight[l1.lineAddr(next)]; !ok {
-					lat := h.cfg.L2Latency
+					lat := L2Latency
 					if hit, _ := h.l2.Lookup(next, now); !hit {
-						lat = h.cfg.MemLatency
+						lat = MemLatency
 						h.l2.StartFill(next, now+uint64(lat))
 					}
 					l1.StartFill(next, now+uint64(lat))
@@ -161,7 +125,7 @@ func (h *Hierarchy) StoreRetire(addr, now uint64) bool {
 		}
 	}
 	h.drain(now)
-	if len(h.sbuf) >= h.cfg.StoreBufEntries {
+	if len(h.sbuf) >= StoreBufEntries {
 		h.StoreBufStalls++
 		return false
 	}
@@ -181,6 +145,3 @@ func (h *Hierarchy) drain(now uint64) {
 	}
 	h.sbuf = live
 }
-
-// StoreBufOccupancy returns the number of in-flight store-buffer entries.
-func (h *Hierarchy) StoreBufOccupancy() int { return len(h.sbuf) }

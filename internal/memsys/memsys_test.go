@@ -9,12 +9,16 @@ func smallCache() *Cache {
 	return NewCache(CacheConfig{SizeBytes: 512, Ways: 2, LineBytes: 64, VictimEntries: 4})
 }
 
+// fillNow installs addr's line at once, evicting the set's LRU line into
+// the victim buffer.
+func fillNow(c *Cache, addr, now uint64) { c.install(c.lineAddr(addr), now) }
+
 func TestCacheHitAfterFill(t *testing.T) {
 	c := smallCache()
 	if hit, _ := c.Lookup(0x1000, 1); hit {
 		t.Fatal("cold cache should miss")
 	}
-	c.FillNow(0x1000, 1)
+	fillNow(c, 0x1000, 1)
 	if hit, _ := c.Lookup(0x1000, 2); !hit {
 		t.Fatal("filled line should hit")
 	}
@@ -51,10 +55,10 @@ func TestCacheLRUReplacement(t *testing.T) {
 	// 512 B / 64 B = 8 lines, 2 ways -> 4 sets. Lines mapping to set 0:
 	// line addresses 0, 4, 8 (addr 0x000, 0x100, 0x200).
 	c := NewCache(CacheConfig{SizeBytes: 512, Ways: 2, LineBytes: 64})
-	c.FillNow(0x000, 1)
-	c.FillNow(0x100, 2)
+	fillNow(c, 0x000, 1)
+	fillNow(c, 0x100, 2)
 	c.Lookup(0x000, 3) // touch first: 0x100 becomes LRU
-	c.FillNow(0x200, 4)
+	fillNow(c, 0x200, 4)
 	if hit, _ := c.Lookup(0x000, 5); !hit {
 		t.Error("recently used line evicted")
 	}
@@ -65,9 +69,9 @@ func TestCacheLRUReplacement(t *testing.T) {
 
 func TestVictimBufferCatchesEviction(t *testing.T) {
 	c := smallCache()
-	c.FillNow(0x000, 1)
-	c.FillNow(0x100, 2)
-	c.FillNow(0x200, 3) // evicts 0x000 into the victim buffer
+	fillNow(c, 0x000, 1)
+	fillNow(c, 0x100, 2)
+	fillNow(c, 0x200, 3) // evicts 0x000 into the victim buffer
 	hit, _ := c.Lookup(0x000, 4)
 	if !hit {
 		t.Fatal("victim buffer should supply the evicted line")
@@ -100,7 +104,7 @@ func TestFIFOBufferCapacity(t *testing.T) {
 func TestCacheFillThenHitProperty(t *testing.T) {
 	f := func(addr uint64) bool {
 		c := smallCache()
-		c.FillNow(addr, 1)
+		fillNow(c, addr, 1)
 		hit, _ := c.Lookup(addr, 2)
 		return hit
 	}
@@ -110,7 +114,7 @@ func TestCacheFillThenHitProperty(t *testing.T) {
 }
 
 func TestHierarchyLatencies(t *testing.T) {
-	h := New(Config{})
+	h := New()
 	// Cold load: memory latency.
 	if lat := h.LoadLatency(0x1000_0000, 100); lat != 180 {
 		t.Fatalf("cold load latency = %d, want 180", lat)
@@ -130,7 +134,7 @@ func TestHierarchyLatencies(t *testing.T) {
 }
 
 func TestHierarchyFetchPath(t *testing.T) {
-	h := New(Config{})
+	h := New()
 	if lat := h.FetchLatency(0x1000, 1); lat != 180 {
 		t.Fatalf("cold fetch latency = %d, want 180", lat)
 	}
@@ -140,7 +144,7 @@ func TestHierarchyFetchPath(t *testing.T) {
 }
 
 func TestUnitStridePrefetcher(t *testing.T) {
-	h := New(Config{})
+	h := New()
 	now := uint64(0)
 	// Two sequential misses establish a stream; the prefetcher should pull
 	// the following lines so later sequential accesses hit or merge early.
@@ -158,7 +162,7 @@ func TestUnitStridePrefetcher(t *testing.T) {
 }
 
 func TestStoreBufferCoalescingAndStalls(t *testing.T) {
-	h := New(Config{StoreBufEntries: 2})
+	h := New()
 	if !h.StoreRetire(0x3000_0000, 1) {
 		t.Fatal("first store rejected")
 	}
@@ -166,27 +170,30 @@ func TestStoreBufferCoalescingAndStalls(t *testing.T) {
 	if !h.StoreRetire(0x3000_0008, 1) {
 		t.Fatal("coalescing store rejected")
 	}
-	if h.StoreBufOccupancy() != 1 {
-		t.Fatalf("occupancy = %d, want 1", h.StoreBufOccupancy())
+	if len(h.sbuf) != 1 {
+		t.Fatalf("occupancy = %d, want 1", len(h.sbuf))
 	}
-	if !h.StoreRetire(0x3000_1000, 1) {
-		t.Fatal("second line rejected")
+	// Fill the buffer with slow (miss) writes to distinct lines.
+	for i := uint64(1); i < StoreBufEntries; i++ {
+		if !h.StoreRetire(0x3000_0000+i<<12, 1) {
+			t.Fatalf("store to line %d rejected with %d entries buffered", i, len(h.sbuf))
+		}
 	}
-	// Buffer full with slow (miss) writes: third line must stall.
-	if h.StoreRetire(0x3000_2000, 2) {
+	// Buffer full: the next line must stall.
+	if h.StoreRetire(0x3100_0000, 2) {
 		t.Fatal("expected store-buffer stall")
 	}
 	if h.StoreBufStalls != 1 {
 		t.Fatalf("StoreBufStalls = %d, want 1", h.StoreBufStalls)
 	}
 	// Long after the writes complete, the buffer drains and accepts again.
-	if !h.StoreRetire(0x3000_2000, 1000) {
+	if !h.StoreRetire(0x3100_0000, 1000) {
 		t.Fatal("store rejected after drain")
 	}
 }
 
 func TestStoreForwardingToLoads(t *testing.T) {
-	h := New(Config{})
+	h := New()
 	h.StoreRetire(0x4000_0000, 1)
 	// A load from the buffered line forwards without memory latency even
 	// though the line is still being written.
@@ -198,9 +205,9 @@ func TestStoreForwardingToLoads(t *testing.T) {
 func TestMissRate(t *testing.T) {
 	c := smallCache()
 	c.Lookup(0x0, 1) // miss
-	c.FillNow(0x0, 1)
+	fillNow(c, 0x0, 1)
 	c.Lookup(0x0, 2) // hit
-	if got := c.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %v, want 0.5", got)
+	if c.Misses != 1 || c.Accesses != 2 {
+		t.Fatalf("misses/accesses = %d/%d, want 1/2", c.Misses, c.Accesses)
 	}
 }

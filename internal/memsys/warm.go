@@ -52,7 +52,7 @@ func (h *Hierarchy) warm(l1 *Cache, addr uint64, lastLine *uint64) {
 	la := l1.lineAddr(addr)
 	h.l2.touch(addr, now)
 	if la == *lastLine+1 {
-		for i := 1; i <= h.cfg.PrefetchDegree; i++ {
+		for i := 1; i <= PrefetchDegree; i++ {
 			next := (la + uint64(i)) << l1.lineShift
 			if !l1.Contains(next) {
 				l1.install(l1.lineAddr(next), now)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"expvar"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -82,13 +81,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Counter registers and returns a new counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.register(name, func() any { return c.Value() }, kindCounter, nil)
-	return c
-}
-
 // CounterFunc registers a counter computed at read time, for components
 // that already maintain their own monotonic counts. The function must be
 // monotonically non-decreasing for the Prometheus exposition to be
@@ -146,18 +138,6 @@ func (r *Registry) Histogram(name string) *HistogramVar {
 	v := &HistogramVar{h: stats.NewHistogram()}
 	r.register(name, func() any { return v.Snapshot() }, kindHistogram, v)
 	return v
-}
-
-// Names returns the registered variable names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.vars))
-	for n := range r.vars {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot evaluates every registered variable into one map.

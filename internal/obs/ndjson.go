@@ -12,8 +12,8 @@ import (
 // (NDJSON), the offline substrate for the paper's distributional figures:
 // remaining-use-at-eviction histograms (Figure 5), residency lifetimes
 // (Table 2), and per-category miss streams (Figure 8). Pipeline events are
-// ignored. It also aggregates counts per event kind so a run's log can be
-// cross-checked against core.Stats without re-parsing the file.
+// ignored. It also keeps the remaining-use-at-eviction histogram
+// (EvictUses) so a run can report Figure 5 without re-parsing the file.
 //
 // Line shape:
 //
@@ -24,8 +24,6 @@ type CacheLog struct {
 	buf []byte
 	err error
 
-	counts    [NumCacheEventKinds]uint64
-	missBy    [3]uint64
 	evictUses *stats.Histogram // remaining uses at eviction (Figure 5)
 }
 
@@ -40,12 +38,6 @@ func NewCacheLog(w io.Writer) *CacheLog {
 
 // TraceCache implements Tracer.
 func (l *CacheLog) TraceCache(e CacheEvent) {
-	if int(e.Kind) < len(l.counts) {
-		l.counts[e.Kind]++
-	}
-	if e.Kind == CacheMiss && e.MissKind >= 0 && int(e.MissKind) < len(l.missBy) {
-		l.missBy[e.MissKind]++
-	}
 	if e.Kind == CacheEvict && e.Uses >= 0 {
 		l.evictUses.Add(int(e.Uses))
 	}
@@ -80,23 +72,6 @@ func (l *CacheLog) TraceCache(e CacheEvent) {
 
 // TracePipe implements Tracer (pipeline events are not logged here).
 func (l *CacheLog) TracePipe(PipeEvent) {}
-
-// Count returns the number of events of the given kind seen so far.
-func (l *CacheLog) Count(k CacheEventKind) uint64 {
-	if int(k) >= len(l.counts) {
-		return 0
-	}
-	return l.counts[k]
-}
-
-// MissCount returns the number of misses of the given classification
-// (indexed by core.MissKind).
-func (l *CacheLog) MissCount(k int8) uint64 {
-	if k < 0 || int(k) >= len(l.missBy) {
-		return 0
-	}
-	return l.missBy[k]
-}
 
 // EvictUses returns the histogram of remaining-use counts observed at
 // eviction (the Figure 5 distribution).

@@ -119,7 +119,8 @@ func TestChromeTraceOutput(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("jobs")
+	var c Counter
+	r.CounterFunc("jobs", c.Value)
 	c.Add(3)
 	r.Gauge("rate", func() float64 { return 0.5 })
 	h := r.Histogram("wall")

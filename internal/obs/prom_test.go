@@ -34,7 +34,8 @@ func TestPromName(t *testing.T) {
 
 func TestPromExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("serve.sweeps")
+	var c Counter
+	r.CounterFunc("serve.sweeps", c.Value)
 	c.Add(7)
 	r.Gauge("serve.rate", func() float64 { return 0.25 })
 	r.Func("serve.open", func() any { return 3 })
@@ -117,7 +118,8 @@ func TestEmptyHistogramSnapshot(t *testing.T) {
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("hist")
-	c := r.Counter("count")
+	var c Counter
+	r.CounterFunc("count", c.Value)
 	const iters = 200
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -135,7 +137,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				_ = r.Snapshot()
 				_ = promText(r)
-				_ = r.Names()
 			}
 		}()
 		go func() { // writers

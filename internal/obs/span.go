@@ -131,9 +131,6 @@ func (s *Span) SetString(key, v string) { s.setAttr(key, v) }
 // SetInt sets an integer attribute.
 func (s *Span) SetInt(key string, v int64) { s.setAttr(key, v) }
 
-// SetFloat sets a float attribute.
-func (s *Span) SetFloat(key string, v float64) { s.setAttr(key, v) }
-
 // SetBool sets a boolean attribute.
 func (s *Span) SetBool(key string, v bool) { s.setAttr(key, v) }
 
@@ -183,20 +180,6 @@ func (s *Span) Trace() TraceID {
 		return 0
 	}
 	return s.shared.traceID
-}
-
-// Duration returns the span's elapsed time: end-start once ended, the
-// running duration otherwise (0 on nil).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.end.Sub(s.start)
-	}
-	return time.Since(s.start)
 }
 
 // SpanDump is the JSON form of one span in a flight-recorder dump.
@@ -281,17 +264,6 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp
-}
-
-// StartSpan opens a child of the context's active span and returns a
-// context carrying the child. With no active span it returns (ctx, nil):
-// the disabled path stays one map lookup.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	sp := SpanFromContext(ctx).StartChild(name)
-	if sp == nil {
-		return ctx, nil
-	}
-	return ContextWithSpan(ctx, sp), sp
 }
 
 // NewRequestID returns a fresh service request ID ("r-" + 16 hex). Used

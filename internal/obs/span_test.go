@@ -23,7 +23,6 @@ func TestSpanTree(t *testing.T) {
 	adm.End()
 	p := root.StartChild("point")
 	p.SetInt("n", 3)
-	p.SetFloat("f", 0.5)
 	p.SetBool("b", true)
 	p.SetError(errors.New("boom"))
 	p.End()
@@ -75,11 +74,10 @@ func TestNilSpanSafe(t *testing.T) {
 	}
 	sp.SetString("k", "v")
 	sp.SetInt("k", 1)
-	sp.SetFloat("k", 1.5)
 	sp.SetBool("k", true)
 	sp.SetError(errors.New("x"))
 	sp.End()
-	if sp.RequestID() != "" || sp.Trace() != 0 || sp.Duration() != 0 {
+	if sp.RequestID() != "" || sp.Trace() != 0 {
 		t.Error("nil span accessors should return zero values")
 	}
 
@@ -92,10 +90,9 @@ func TestNilSpanSafe(t *testing.T) {
 		t.Error("nil recorder dump should be empty")
 	}
 
-	// Context plumbing with no span: StartSpan returns (ctx, nil).
-	ctx, s2 := StartSpan(context.Background(), "x")
-	if s2 != nil || SpanFromContext(ctx) != nil {
-		t.Error("StartSpan without an active span should be disabled")
+	// Context plumbing with no span: no active span, no child.
+	if SpanFromContext(context.Background()).StartChild("x") != nil {
+		t.Error("a child of a context without an active span should be disabled")
 	}
 }
 
@@ -106,9 +103,9 @@ func TestSpanContextPropagation(t *testing.T) {
 	if SpanFromContext(ctx) != root {
 		t.Fatal("SpanFromContext lost the span")
 	}
-	ctx2, child := StartSpan(ctx, "child")
-	if child == nil || SpanFromContext(ctx2) != child {
-		t.Fatal("StartSpan did not thread the child")
+	child := SpanFromContext(ctx).StartChild("child")
+	if ctx2 := ContextWithSpan(ctx, child); child == nil || SpanFromContext(ctx2) != child {
+		t.Fatal("ContextWithSpan did not thread the child")
 	}
 	child.End()
 	root.End()

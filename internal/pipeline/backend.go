@@ -47,7 +47,7 @@ func (pl *Pipeline) operandPlan(s *srcOp, issueCycle, now uint64) operandSource 
 // valueWindows returns the issue cycles at which a consumer can obtain the
 // value a producer computes in cycle tP. Issue at bypass1 meets the value
 // on bypass stage 1 (execution starts at tP+1), issue at bypass2 on stage
-// 2 (bypass2 == bypass1 when the network has one stage), and the storage
+// 2 of the Table 1 two-stage network (execution at tP+2), and the storage
 // window opens at storage and stays open. operandPlan classifies against
 // these windows and wakeBound looks for the next one, so the two cannot
 // drift apart.
@@ -63,10 +63,7 @@ func (pl *Pipeline) operandPlan(s *srcOp, issueCycle, now uint64) operandSource 
 // hole after the bypass window that delays any consumer that missed it.
 func (pl *Pipeline) valueWindows(tP uint64) (bypass1, bypass2, storage uint64) {
 	bypass1 = tP - uint64(pl.readLat)
-	bypass2 = bypass1
-	if pl.cfg.BypassStages >= 2 {
-		bypass2++
-	}
+	bypass2 = bypass1 + 1
 	storage = tP + 1
 	if pl.cfg.Scheme == SchemeMonolithic {
 		storage = tP + uint64(pl.cfg.RFLatency)

@@ -83,11 +83,11 @@ func newBenchPipeline(tb testing.TB, cfg Config, bench string) *Pipeline {
 		tb.Fatalf("unknown benchmark %q", bench)
 	}
 	if cfg.Threads <= 1 {
-		return New(cfg, prog.MustGenerate(prof))
+		return New(cfg, mustGenerate(tb, prof))
 	}
 	progs := make([]*prog.Program, cfg.Threads)
 	for tid := range progs {
-		progs[tid] = prog.MustGenerate(prog.ThreadProfile(prof, tid))
+		progs[tid] = mustGenerate(tb, prog.ThreadProfile(prof, tid))
 	}
 	return NewMulti(cfg, progs)
 }

@@ -15,9 +15,7 @@ package pipeline
 
 import (
 	"regcache/internal/core"
-	"regcache/internal/memsys"
 	"regcache/internal/twolevel"
-	"regcache/internal/usepred"
 )
 
 // Scheme selects the register storage organization under test.
@@ -42,32 +40,47 @@ func (s Scheme) String() string {
 	return "scheme?"
 }
 
-// Config is the full machine configuration. Zero values select Table 1.
-type Config struct {
+// The Table 1 machine. Every configuration shares it; Config varies only
+// the register storage, the hardware contexts and the instrumentation.
+// The bypass network has two stages (valueWindows).
+const (
 	// Widths.
-	FetchWidth        int // 8
-	IssueWidth        int // 8
-	RetireWidth       int // 8
-	MaxStoresPerCycle int // 2
+	FetchWidth        = 8
+	IssueWidth        = 8
+	RetireWidth       = 8
+	MaxStoresPerCycle = 2
 
 	// Capacities.
-	IQSize    int // 128
-	ROBSize   int // 512
-	NumPRegs  int // 512
-	LQSize    int // 128
-	SQSize    int // 128
-	FrontQCap int // fetch-to-dispatch buffer
+	IQSize    = 128
+	ROBSize   = 512 // partitioned evenly across hardware contexts
+	NumPRegs  = 512
+	LQSize    = 128
+	SQSize    = 128
+	FrontQCap = 96 // fetch-to-dispatch buffer
 
-	// Depths.
-	FrontEndDepth int // 11 = 4 fetch + 2 decode + 3 rename + 2 dispatch
-	BypassStages  int // 2
+	// FrontEndDepth is the fetch-to-dispatch pipeline depth: 4 fetch + 2
+	// decode + 3 rename + 2 dispatch stages.
+	FrontEndDepth = 11
 
-	// Function units (Table 1).
-	IntALU, BranchUnits, IntMul, FPALU, FPMulDiv, LoadUnits, StoreUnits int
+	// Function units.
+	IntALU      = 6
+	BranchUnits = 2
+	IntMul      = 2
+	FPALU       = 4
+	FPMulDiv    = 2
+	LoadUnits   = 4
+	StoreUnits  = 2
 
-	// Store execute-to-earliest-retirement distance.
-	StoreRetireDelay int // 3
+	// StoreRetireDelay is the store execute-to-earliest-retirement
+	// distance.
+	StoreRetireDelay = 3
+)
 
+// Config selects what the paper varies on the Table 1 machine: the
+// register storage scheme and its parameters, the hardware contexts, and
+// instrumentation. A zero latency takes DefaultConfig's, and a zero
+// CacheCfg.MaxPRegs the machine's NumPRegs.
+type Config struct {
 	// Hardware contexts. Threads <= 1 is the classic single-context
 	// machine; Threads > 1 interleaves that many deterministic instruction
 	// streams over one shared physical file, register cache, issue window,
@@ -90,12 +103,6 @@ type Config struct {
 	// default single port of the paper's machine (Section 5.2).
 	ReadPorts int
 
-	// Memory system.
-	Mem memsys.Config
-
-	// Degree-of-use predictor overrides (zero values = Table 1 defaults).
-	UsePred usepred.Config
-
 	// OracleUses replaces the degree-of-use predictor with perfect
 	// knowledge from a functional pre-pass (the paper's "perfect a priori
 	// knowledge" motivation; see internal/pipeline/oracle.go).
@@ -106,85 +113,19 @@ type Config struct {
 	TrackLiveCounts bool // Figure 2 event streams (memory ~ retired insts)
 }
 
-// DefaultConfig returns the Table 1 machine with the given scheme.
+// DefaultConfig returns the paper's design point: a use-based register
+// cache behind a 2-cycle backing file.
 func DefaultConfig() Config {
 	return Config{
-		FetchWidth: 8, IssueWidth: 8, RetireWidth: 8, MaxStoresPerCycle: 2,
-		IQSize: 128, ROBSize: 512, NumPRegs: 512, LQSize: 128, SQSize: 128,
-		FrontQCap:     96,
-		FrontEndDepth: 11, BypassStages: 2,
-		IntALU: 6, BranchUnits: 2, IntMul: 2, FPALU: 4, FPMulDiv: 2,
-		LoadUnits: 4, StoreUnits: 2,
-		StoreRetireDelay: 3,
-		Scheme:           SchemeCache,
-		RFLatency:        3,
-		BackingLatency:   2,
-		CacheCfg:         core.UseBasedConfig(),
+		Scheme:         SchemeCache,
+		RFLatency:      3,
+		BackingLatency: 2,
+		CacheCfg:       core.UseBasedConfig(),
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.FetchWidth == 0 {
-		c.FetchWidth = d.FetchWidth
-	}
-	if c.IssueWidth == 0 {
-		c.IssueWidth = d.IssueWidth
-	}
-	if c.RetireWidth == 0 {
-		c.RetireWidth = d.RetireWidth
-	}
-	if c.MaxStoresPerCycle == 0 {
-		c.MaxStoresPerCycle = d.MaxStoresPerCycle
-	}
-	if c.IQSize == 0 {
-		c.IQSize = d.IQSize
-	}
-	if c.ROBSize == 0 {
-		c.ROBSize = d.ROBSize
-	}
-	if c.NumPRegs == 0 {
-		c.NumPRegs = d.NumPRegs
-	}
-	if c.LQSize == 0 {
-		c.LQSize = d.LQSize
-	}
-	if c.SQSize == 0 {
-		c.SQSize = d.SQSize
-	}
-	if c.FrontQCap == 0 {
-		c.FrontQCap = d.FrontQCap
-	}
-	if c.FrontEndDepth == 0 {
-		c.FrontEndDepth = d.FrontEndDepth
-	}
-	if c.BypassStages == 0 {
-		c.BypassStages = d.BypassStages
-	}
-	if c.IntALU == 0 {
-		c.IntALU = d.IntALU
-	}
-	if c.BranchUnits == 0 {
-		c.BranchUnits = d.BranchUnits
-	}
-	if c.IntMul == 0 {
-		c.IntMul = d.IntMul
-	}
-	if c.FPALU == 0 {
-		c.FPALU = d.FPALU
-	}
-	if c.FPMulDiv == 0 {
-		c.FPMulDiv = d.FPMulDiv
-	}
-	if c.LoadUnits == 0 {
-		c.LoadUnits = d.LoadUnits
-	}
-	if c.StoreUnits == 0 {
-		c.StoreUnits = d.StoreUnits
-	}
-	if c.StoreRetireDelay == 0 {
-		c.StoreRetireDelay = d.StoreRetireDelay
-	}
 	if c.RFLatency == 0 {
 		c.RFLatency = d.RFLatency
 	}
@@ -193,7 +134,7 @@ func (c Config) withDefaults() Config {
 	}
 	// Cache config: default the preg space to the machine's.
 	if c.CacheCfg.MaxPRegs == 0 {
-		c.CacheCfg.MaxPRegs = c.NumPRegs
+		c.CacheCfg.MaxPRegs = NumPRegs
 	}
 	if c.Threads < 1 {
 		c.Threads = 1

@@ -49,8 +49,8 @@ func (pl *Pipeline) fetch() {
 	if tc == nil {
 		return
 	}
-	for n := 0; n < pl.cfg.FetchWidth; n++ {
-		if len(pl.frontq) >= pl.cfg.FrontQCap {
+	for n := 0; n < FetchWidth; n++ {
+		if len(pl.frontq) >= FrontQCap {
 			pl.Stats.FrontQStalls++
 			return
 		}
@@ -115,7 +115,7 @@ func (pl *Pipeline) renameOne(tc *threadCtx, inst *isa.Inst) *uop {
 	u.destPreg, u.oldPreg = -1, -1
 	u.state = uInFrontEnd
 	u.fu = classOf(inst.Op)
-	u.readyAt = pl.now + uint64(pl.cfg.FrontEndDepth)
+	u.readyAt = pl.now + FrontEndDepth
 	u.bhrBefore = tc.yags.History()
 	u.pathBefore = tc.ind.Path()
 	// Functional execution (execute-at-fetch, undo-logged). The recovery
@@ -281,25 +281,25 @@ func (pl *Pipeline) predictBranch(tc *threadCtx, u *uop) {
 // front-end queue head just like a full load queue does.
 func (pl *Pipeline) dispatch() {
 	n := 0
-	for len(pl.frontq) > 0 && n < pl.cfg.FetchWidth {
+	for len(pl.frontq) > 0 && n < FetchWidth {
 		u := pl.frontq[0]
 		if u.readyAt > pl.now {
 			break
 		}
 		tc := &pl.threads[u.tid]
-		if tc.robCount >= len(tc.rob) || pl.iqCount >= pl.cfg.IQSize {
+		if tc.robCount >= len(tc.rob) || pl.iqCount >= IQSize {
 			pl.Stats.DispatchStalls++
 			return
 		}
 		switch u.inst.Op {
 		case isa.OpLoad:
-			if pl.lqCount >= pl.cfg.LQSize {
+			if pl.lqCount >= LQSize {
 				pl.Stats.DispatchStalls++
 				return
 			}
 			pl.lqCount++
 		case isa.OpStore:
-			if pl.sqCount >= pl.cfg.SQSize {
+			if pl.sqCount >= SQSize {
 				pl.Stats.DispatchStalls++
 				return
 			}

@@ -89,15 +89,15 @@ func CapturePoints(starts []uint64, warmup uint64) []uint64 {
 
 // CaptureCheckpoints functionally executes the program once and snapshots
 // the architectural state at each requested instruction count, warming a
-// memory-hierarchy image (configured by memCfg) with the correct-path
-// fetch and data stream along the way. points must be non-decreasing. If
+// memory-hierarchy image with the correct-path fetch and data stream
+// along the way. points must be non-decreasing. If
 // the program ends before a point, the checkpoint rests at the final
 // state (built-in benchmarks never terminate inside any realistic budget,
 // matching the serial Run's assumption). The result is immutable and safe
 // to share across concurrently constructed pipelines.
-func CaptureCheckpoints(p *prog.Program, points []uint64, memCfg memsys.Config) []Checkpoint {
+func CaptureCheckpoints(p *prog.Program, points []uint64) []Checkpoint {
 	e := prog.NewExec(p)
-	warm := memsys.New(memCfg)
+	warm := memsys.New()
 	out := make([]Checkpoint, 0, len(points))
 	var n, defs uint64
 	for _, pt := range points {
@@ -239,7 +239,7 @@ func RunIntervals(cfg Config, p *prog.Program, total uint64, o IntervalOptions) 
 	k := len(starts)
 	cks := o.Checkpoints
 	if cks == nil {
-		cks = CaptureCheckpoints(p, CapturePoints(starts, o.Warmup), cfg.Mem)
+		cks = CaptureCheckpoints(p, CapturePoints(starts, o.Warmup))
 	}
 	if len(cks) != k {
 		panic(fmt.Sprintf("pipeline: %d checkpoints for %d intervals", len(cks), k))

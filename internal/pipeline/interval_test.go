@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"regcache/internal/memsys"
 	"regcache/internal/prog"
 	"regcache/internal/stats"
 )
@@ -64,8 +63,8 @@ func TestCapturePoints(t *testing.T) {
 }
 
 func TestCaptureCheckpointsAlignment(t *testing.T) {
-	p := prog.MustGenerate(mustProfile(t, "gzip"))
-	cks := CaptureCheckpoints(p, []uint64{0, 1_000, 5_000}, memsys.Config{})
+	p := mustGenerate(t, mustProfile(t, "gzip"))
+	cks := CaptureCheckpoints(p, []uint64{0, 1_000, 5_000})
 	if len(cks) != 3 {
 		t.Fatalf("%d checkpoints, want 3", len(cks))
 	}
@@ -104,7 +103,7 @@ func TestRunIntervalsK1BitIdentical(t *testing.T) {
 	for _, bc := range intervalConfigs() {
 		cfg := bc.cfg
 		t.Run(bc.name, func(t *testing.T) {
-			p := prog.MustGenerate(mustProfile(t, "gzip"))
+			p := mustGenerate(t, mustProfile(t, "gzip"))
 			serial := New(cfg, p).Run(20_000)
 			interval := RunIntervals(cfg, p, 20_000, IntervalOptions{K: 1})
 			if !reflect.DeepEqual(serial, interval) {
@@ -124,7 +123,7 @@ func TestRunIntervalsDeterministic(t *testing.T) {
 	for _, bc := range intervalConfigs() {
 		cfg := bc.cfg
 		t.Run(bc.name, func(t *testing.T) {
-			p := prog.MustGenerate(mustProfile(t, "gzip"))
+			p := mustGenerate(t, mustProfile(t, "gzip"))
 			o := IntervalOptions{K: 4, Warmup: 2_000}
 			a := RunIntervals(cfg, p, 20_000, o)
 			b := RunIntervals(cfg, p, 20_000, o)
@@ -140,7 +139,7 @@ func TestRunIntervalsDeterministic(t *testing.T) {
 // retired exactly once, modulo retire-width overshoot at window edges) and
 // the interval metadata describes the run.
 func TestRunIntervalsMergedInvariants(t *testing.T) {
-	p := prog.MustGenerate(mustProfile(t, "gzip"))
+	p := mustGenerate(t, mustProfile(t, "gzip"))
 	const total, k, warmup = 20_000, 4, 2_000
 	r := RunIntervals(DefaultConfig(), p, total, IntervalOptions{K: k, Warmup: warmup})
 	// Each window boundary (warm-up end and interval end) can overshoot
@@ -214,8 +213,8 @@ func TestStatsSubAddRoundTrip(t *testing.T) {
 // to pipelines resumed from a checkpoint: the interval executor must reuse
 // the same pooled cycle loop, not introduce per-cycle garbage.
 func TestCycleLoopZeroAllocInterval(t *testing.T) {
-	p := prog.MustGenerate(mustProfile(t, "gzip"))
-	cks := CaptureCheckpoints(p, []uint64{30_000}, memsys.Config{})
+	p := mustGenerate(t, mustProfile(t, "gzip"))
+	cks := CaptureCheckpoints(p, []uint64{30_000})
 	for _, bc := range intervalConfigs() {
 		t.Run(bc.name, func(t *testing.T) {
 			pl := NewAt(bc.cfg, p, cks[0])
@@ -243,6 +242,16 @@ func intervalConfigs() []benchConfig {
 		}
 	}
 	return out
+}
+
+// mustGenerate builds the program for a valid (built-in) profile.
+func mustGenerate(tb testing.TB, prof prog.Profile) *prog.Program {
+	tb.Helper()
+	p, err := prog.Generate(prof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 func mustProfile(t *testing.T, name string) prog.Profile {

@@ -10,7 +10,7 @@ import (
 // history-based predictor — fewer misses on the same cache.
 func TestOracleUses(t *testing.T) {
 	prof, _ := prog.ProfileByName("twolf")
-	p := prog.MustGenerate(prof)
+	p := mustGenerate(t, prof)
 	cfg := DefaultConfig()
 	pred := New(cfg, p).Run(60_000)
 	cfg.OracleUses = true

@@ -29,6 +29,9 @@ const (
 	numFUClasses
 )
 
+// fuCap is each class's unit count (Table 1).
+var fuCap = [numFUClasses]int{IntALU, BranchUnits, IntMul, FPALU, FPMulDiv, LoadUnits, StoreUnits}
+
 func classOf(op isa.Op) fuClass {
 	switch op {
 	case isa.OpIAlu, isa.OpNop:
@@ -152,7 +155,6 @@ type Pipeline struct {
 	missQ []*fillReq
 
 	fuUsed [numFUClasses]int
-	fuCap  [numFUClasses]int
 
 	suppressIssue bool
 
@@ -239,40 +241,39 @@ func NewMulti(cfg Config, progs []*prog.Program) *Pipeline {
 func newPipeline(cfg Config, progs []*prog.Program, execs []*prog.Exec) *Pipeline {
 	cfg = cfg.withDefaults()
 	nt := cfg.Threads
-	if nt*isa.NumArchRegs+isa.NumArchRegs > cfg.NumPRegs {
+	if nt*isa.NumArchRegs+isa.NumArchRegs > NumPRegs {
 		panic(fmt.Sprintf("pipeline: %d physical registers cannot back %d contexts (%d identity + rename headroom)",
-			cfg.NumPRegs, nt, nt*isa.NumArchRegs))
+			NumPRegs, nt, nt*isa.NumArchRegs))
 	}
 	pl := &Pipeline{
 		cfg:       cfg,
 		threads:   make([]threadCtx, nt),
-		upred:     usepred.New(cfg.UsePred),
-		mem:       memsys.New(cfg.Mem),
-		freelist:  regfile.NewFreeList(cfg.NumPRegs),
+		upred:     usepred.New(usepred.Config{}),
+		mem:       memsys.New(),
+		freelist:  regfile.NewFreeList(NumPRegs),
 		readLat:   cfg.readLatency(),
-		producers: make([]*uop, cfg.NumPRegs),
-		prodPC:    make([]uint64, cfg.NumPRegs),
-		prodSig:   make([]uint64, cfg.NumPRegs),
-		archReads: make([]int, cfg.NumPRegs),
-		frontqBuf: make([]*uop, 0, cfg.FrontQCap+8),
-		comps:     newTimingWheel[compEntry](wheelHorizon, 2*cfg.IssueWidth),
+		producers: make([]*uop, NumPRegs),
+		prodPC:    make([]uint64, NumPRegs),
+		prodSig:   make([]uint64, NumPRegs),
+		archReads: make([]int, NumPRegs),
+		frontqBuf: make([]*uop, 0, FrontQCap+8),
+		comps:     newTimingWheel[compEntry](wheelHorizon, 2*IssueWidth),
 		fills:     newTimingWheel[*fillReq](wheelHorizon, 4),
-		missQ:     make([]*fillReq, cfg.NumPRegs),
+		missQ:     make([]*fillReq, NumPRegs),
 	}
 	pl.initSelect()
-	pl.fuCap = [numFUClasses]int{cfg.IntALU, cfg.BranchUnits, cfg.IntMul, cfg.FPALU, cfg.FPMulDiv, cfg.LoadUnits, cfg.StoreUnits}
 	if cfg.TrackLifetimes || cfg.TrackLiveCounts {
-		pl.life = regfile.NewLifetimes(cfg.NumPRegs, cfg.TrackLiveCounts)
+		pl.life = regfile.NewLifetimes(NumPRegs, cfg.TrackLiveCounts)
 	}
 	switch cfg.Scheme {
 	case SchemeCache:
 		pl.cache = core.New(cfg.CacheCfg)
-		pl.backing = regfile.NewBackingFile(cfg.BackingLatency, cfg.NumPRegs, cfg.ReadPorts)
+		pl.backing = regfile.NewBackingFile(cfg.BackingLatency, NumPRegs, cfg.ReadPorts)
 		pl.prewarmFillPool(192, 8)
 	case SchemeTwoLevel:
 		tl := cfg.TwoLevelCfg
 		tl.L2Latency = max(tl.L2Latency, 1)
-		pl.tlf = twolevel.New(tl, cfg.NumPRegs)
+		pl.tlf = twolevel.New(tl, NumPRegs)
 		pl.tlfVisible = make([]core.PReg, 0, len(progs)*isa.NumArchRegs)
 	}
 	// Each context's architectural register space occupies a dedicated
@@ -290,7 +291,7 @@ func newPipeline(cfg Config, progs []*prog.Program, execs []*prog.Exec) *Pipelin
 		tc.ind = bpred.NewIndirect(bpred.IndirectConfig{})
 		tc.ras = bpred.NewRAS(64)
 		tc.maps = regfile.NewMapTable()
-		tc.rob = make([]*uop, cfg.ROBSize/nt)
+		tc.rob = make([]*uop, ROBSize/nt)
 		for i := 0; i < isa.NumArchRegs; i++ {
 			pp, ok := pl.freelist.Alloc()
 			if !ok || pp != core.PReg(t*isa.NumArchRegs+i) {

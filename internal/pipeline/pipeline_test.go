@@ -15,7 +15,7 @@ func run(t *testing.T, bench string, cfg Config, n uint64) Result {
 	if !ok {
 		t.Fatalf("unknown benchmark %s", bench)
 	}
-	pl := New(cfg, prog.MustGenerate(prof))
+	pl := New(cfg, mustGenerate(t, prof))
 	return pl.Run(n)
 }
 

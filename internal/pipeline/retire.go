@@ -18,20 +18,20 @@ func (pl *Pipeline) retire() {
 	retired := 0
 	stores := 0
 	nt := len(pl.threads)
-	for k := 0; k < nt && retired < pl.cfg.RetireWidth; k++ {
+	for k := 0; k < nt && retired < RetireWidth; k++ {
 		tc := &pl.threads[(pl.retireTC+k)%nt]
-		for tc.robCount > 0 && retired < pl.cfg.RetireWidth {
+		for tc.robCount > 0 && retired < RetireWidth {
 			u := tc.rob[tc.robHead]
 			if u.state != uDone {
 				break
 			}
 			if u.inst.Op == isa.OpStore {
-				if stores >= pl.cfg.MaxStoresPerCycle {
+				if stores >= MaxStoresPerCycle {
 					break
 				}
 				// Stores reach earliest retirement StoreRetireDelay cycles
 				// after executing, and must find store-buffer space.
-				if pl.now < u.resultAt+uint64(pl.cfg.StoreRetireDelay) {
+				if pl.now < u.resultAt+StoreRetireDelay {
 					break
 				}
 				if !pl.mem.StoreRetire(threadAddr(u.tid, u.memAddr), pl.now) {

@@ -48,10 +48,10 @@ type parkNode struct {
 // by squashed consumers; twice the window covers every built-in benchmark
 // (the high-water mark is 190 nodes), and the slab grows if it must.
 func (pl *Pipeline) initSelect() {
-	slots := 2*pl.cfg.IQSize + 32 + pl.cfg.FetchWidth
+	slots := 2*IQSize + 32 + FetchWidth
 	pl.iq = make([]uopRef, 0, slots)
 	pl.ready = make([]uint64, 0, (slots+63)/64)
-	pl.nodes = make([]parkNode, 1, 2*pl.cfg.IQSize)
+	pl.nodes = make([]parkNode, 1, 2*IQSize)
 	pl.wakeAt = make([]int32, wheelHorizon)
 }
 
@@ -78,7 +78,7 @@ func (pl *Pipeline) issue() {
 	}
 	pl.fuUsed = [numFUClasses]int{}
 	issued := 0
-	width := pl.cfg.IssueWidth
+	width := IssueWidth
 	for w := 0; w < len(pl.ready) && issued < width; w++ {
 		for word := pl.ready[w]; word != 0 && issued < width; word &= word - 1 {
 			bit := word & -word
@@ -88,7 +88,7 @@ func (pl *Pipeline) issue() {
 				pl.ready[w] &^= bit // squashed (and possibly recycled)
 				continue
 			}
-			if pl.fuUsed[u.fu] >= pl.fuCap[u.fu] {
+			if pl.fuUsed[u.fu] >= fuCap[u.fu] {
 				continue // stays flagged for the next cycle
 			}
 			pl.ready[w] &^= bit

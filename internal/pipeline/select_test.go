@@ -25,7 +25,7 @@ func referenceSelect(pl *Pipeline, dst []*uop) []*uop {
 	}
 	var used [numFUClasses]int
 	for _, e := range pl.iq {
-		if len(dst) >= pl.cfg.IssueWidth {
+		if len(dst) >= IssueWidth {
 			break
 		}
 		u := e.u
@@ -33,7 +33,7 @@ func referenceSelect(pl *Pipeline, dst []*uop) []*uop {
 			continue
 		}
 		cls := classOf(u.inst.Op)
-		if used[cls] >= pl.fuCap[cls] {
+		if used[cls] >= fuCap[cls] {
 			continue
 		}
 		ready := true
@@ -66,7 +66,7 @@ func referenceAvailable(pl *Pipeline, s *srcOp, now uint64) bool {
 	}
 	tP := p.effectiveResult(now)
 	execStart := now + 1 + uint64(pl.readLat)
-	if execStart == tP+1 || (execStart == tP+2 && pl.cfg.BypassStages >= 2) {
+	if execStart == tP+1 || execStart == tP+2 {
 		return true
 	}
 	if pl.cfg.Scheme == SchemeMonolithic {
@@ -196,13 +196,14 @@ func checkPlacement(t *testing.T, pl *Pipeline) {
 // selectMachines is the machine matrix the equivalence test covers at
 // threads contexts: the three cache policies, both monolithic latencies,
 // the two-level file, the oracle use table, a one-port port-filtering
-// cache, a slow backing file and a single-stage bypass network.
+// cache and a slow backing file.
 func selectMachines(threads int) []benchConfig {
 	base := DefaultConfig()
 	base.Threads = threads
 
 	lru := base
-	lru.CacheCfg = core.LRUConfig(64, 2)
+	lru.CacheCfg = core.Config{Entries: 64, Ways: 2, Insert: core.InsertAlways,
+		Replace: core.ReplaceLRU, Index: core.IndexRoundRobin, ClassifyMisses: true}
 	nb := base
 	nb.CacheCfg = core.Config{Entries: 64, Ways: 2, Insert: core.InsertNonBypass,
 		Replace: core.ReplaceLRU, Index: core.IndexRoundRobin, ClassifyMisses: true}
@@ -221,12 +222,10 @@ func selectMachines(threads int) []benchConfig {
 	port.ReadPorts = 1
 	slow := base
 	slow.BackingLatency = 5
-	bs1 := base
-	bs1.BypassStages = 1
 
 	return []benchConfig{
 		{"use", base}, {"lru", lru}, {"nb", nb}, {"mono1", mono1}, {"mono3", mono3},
-		{"twolevel", two}, {"oracle", oracle}, {"port-p1", port}, {"b5", slow}, {"bypass1", bs1},
+		{"twolevel", two}, {"oracle", oracle}, {"port-p1", port}, {"b5", slow},
 	}
 }
 
@@ -252,8 +251,7 @@ func TestSelectMatchesWindowScan(t *testing.T) {
 
 // TestWakeBoundNeverLate sweeps producer timings — result cycle, operation
 // latency, load hits and misses of several depths — and every consumer
-// cycle around them, on every storage scheme with one- and two-stage
-// bypass networks. Wherever an operand is unavailable, its wake bound must
+// cycle around them, on every storage scheme. Wherever an operand is unavailable, its wake bound must
 // lie after the current cycle and no later than the first cycle at which
 // operandPlan reports it available or its producer could have retired.
 func TestWakeBoundNeverLate(t *testing.T) {
@@ -270,16 +268,12 @@ func TestWakeBoundNeverLate(t *testing.T) {
 		extras, starts = []uint64{0, 3}, 3
 	}
 	for _, sc := range schemes {
-		for _, stages := range []int{1, 2} {
-			cfg := sc.cfg
-			cfg.BypassStages = stages
-			cfg = cfg.withDefaults()
-			pl := &Pipeline{cfg: cfg, readLat: cfg.readLatency()}
-			for execStart := uint64(20); execStart < 20+starts; execStart++ {
-				for _, lat := range []uint64{1, 2, 4, 18} {
-					for _, extra := range extras {
-						checkWakeBound(t, pl, sc.name, stages, execStart, lat, extra)
-					}
+		cfg := sc.cfg.withDefaults()
+		pl := &Pipeline{cfg: cfg, readLat: cfg.readLatency()}
+		for execStart := uint64(20); execStart < 20+starts; execStart++ {
+			for _, lat := range []uint64{1, 2, 4, 18} {
+				for _, extra := range extras {
+					checkWakeBound(t, pl, sc.name, execStart, lat, extra)
 				}
 			}
 		}
@@ -289,7 +283,7 @@ func TestWakeBoundNeverLate(t *testing.T) {
 // checkWakeBound sweeps every consumer cycle around one producer timing: a
 // load when extra > 0 (extra cycles beyond its hit-assumed result), and
 // both a load hit and a plain operation when extra == 0.
-func checkWakeBound(t *testing.T, pl *Pipeline, scheme string, stages int, execStart, lat, extra uint64) {
+func checkWakeBound(t *testing.T, pl *Pipeline, scheme string, execStart, lat, extra uint64) {
 	t.Helper()
 	loads := []bool{true}
 	if extra == 0 {
@@ -316,12 +310,12 @@ func checkWakeBound(t *testing.T, pl *Pipeline, scheme string, stages int, execS
 			stateAt(now)
 			if pl.operandPlan(s, now, now) != srcUnavailable {
 				if w, at := pl.wakeBound(s, now); w != nil || at != now {
-					t.Fatalf("%s bs%d: available operand at %d got bound (%v, %d)", scheme, stages, now, w, at)
+					t.Fatalf("%s: available operand at %d got bound (%v, %d)", scheme, now, w, at)
 				}
 				continue
 			}
 			w, at := pl.wakeBound(s, now)
-			desc := fmt.Sprintf("%s bs%d exec=%d lat=%d extra=%d load=%v now=%d", scheme, stages, execStart, lat, extra, load, now)
+			desc := fmt.Sprintf("%s exec=%d lat=%d extra=%d load=%v now=%d", scheme, execStart, lat, extra, load, now)
 			if w != nil || at <= now {
 				t.Fatalf("%s: bound (%v, %d) does not lie after now", desc, w, at)
 			}
@@ -340,7 +334,7 @@ func checkWakeBound(t *testing.T, pl *Pipeline, scheme string, stages int, execS
 	p := &uop{seq: 9, state: uInIQ}
 	s := &srcOp{reg: isa.IntR(1), producer: p, prodSeq: p.seq}
 	if w, _ := pl.wakeBound(s, execStart); w != p {
-		t.Fatalf("%s bs%d: waiting producer not returned for parking (got %v)", scheme, stages, w)
+		t.Fatalf("%s: waiting producer not returned for parking (got %v)", scheme, w)
 	}
 }
 

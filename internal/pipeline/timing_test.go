@@ -108,7 +108,7 @@ func TestRCMissReplayAndFill(t *testing.T) {
 	cfg.CacheCfg = core.Config{Entries: 4, Ways: 1, Insert: core.InsertAlways,
 		Replace: core.ReplaceLRU, Index: core.IndexPReg}
 	prof, _ := prog.ProfileByName("gzip")
-	pl := New(cfg, prog.MustGenerate(prof))
+	pl := New(cfg, mustGenerate(t, prof))
 	r := pl.Run(30_000)
 	if r.Stats.RCMissEvents == 0 {
 		t.Fatal("4-entry cache produced no miss events")
@@ -135,7 +135,7 @@ func TestRCMissReplayAndFill(t *testing.T) {
 // missing load).
 func TestLoadMissReplays(t *testing.T) {
 	prof, _ := prog.ProfileByName("mcf")
-	pl := New(DefaultConfig(), prog.MustGenerate(prof))
+	pl := New(DefaultConfig(), mustGenerate(t, prof))
 	r := pl.Run(60_000)
 	if r.Stats.LoadMisses == 0 {
 		t.Fatal("mcf must miss the data cache")
@@ -150,7 +150,7 @@ func TestLoadMissReplays(t *testing.T) {
 // of squash volume.
 func TestWrongPathStatistics(t *testing.T) {
 	prof, _ := prog.ProfileByName("twolf")
-	p := prog.MustGenerate(prof)
+	p := mustGenerate(t, prof)
 	pl := New(DefaultConfig(), p)
 	const n = 50_000
 	// Reference functional stream.
@@ -158,7 +158,7 @@ func TestWrongPathStatistics(t *testing.T) {
 	refPCs := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		refPCs[i] = e.PC()
-		e.Step()
+		e.StepInst(p.InstAt(e.PC()))
 	}
 	idx := 0
 	mismatch := false
@@ -182,15 +182,15 @@ func TestWrongPathStatistics(t *testing.T) {
 // would eventually deadlock rename.
 func TestFreelistConservation(t *testing.T) {
 	prof, _ := prog.ProfileByName("perlbmk")
-	pl := New(DefaultConfig(), prog.MustGenerate(prof))
+	pl := New(DefaultConfig(), mustGenerate(t, prof))
 	pl.Run(50_000)
 	// ROB empty would be ideal but the machine stops mid-flight; bound the
 	// leak instead: free + in-flight (<= ROB) + architected (64) must
 	// cover the whole space.
 	free := pl.freelist.Len()
-	if free+pl.robTotal()+len(pl.frontq)+64 < pl.cfg.NumPRegs {
+	if free+pl.robTotal()+len(pl.frontq)+64 < NumPRegs {
 		t.Errorf("possible preg leak: free=%d rob=%d frontq=%d of %d",
-			free, pl.robTotal(), len(pl.frontq), pl.cfg.NumPRegs)
+			free, pl.robTotal(), len(pl.frontq), NumPRegs)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 )
 
 // TestCacheLogMatchesStats runs a real benchmark with the NDJSON sink
-// attached and checks that the log's aggregated event counts equal the
-// cache's own statistics — the tracer hooks cover every counting site
-// exactly once.
+// attached and checks that the log's event counts equal the cache's own
+// statistics — the tracer hooks cover every counting site exactly once.
 func TestCacheLogMatchesStats(t *testing.T) {
 	prof, ok := prog.ProfileByName("gzip")
 	if !ok {
 		t.Fatal("no gzip profile")
 	}
-	pl := New(DefaultConfig(), prog.MustGenerate(prof))
+	pl := New(DefaultConfig(), mustGenerate(t, prof))
 	var buf bytes.Buffer
 	log := obs.NewCacheLog(&buf)
 	pl.SetTracer(log)
@@ -28,43 +27,45 @@ func TestCacheLogMatchesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every NDJSON line must parse; tally them by event and miss class.
+	counts := map[string]uint64{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var ev struct{ Ev, Miss string }
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("line %d: %v", len(counts), err)
+		}
+		counts[ev.Ev]++
+		if ev.Miss != "" {
+			counts["miss:"+ev.Miss]++
+		}
+	}
+	if len(counts) == 0 {
+		t.Fatal("empty cache log")
+	}
 	cs := r.Cache
 	checks := []struct {
-		name string
-		got  uint64
+		key  string
 		want uint64
 	}{
-		{"hits", log.Count(obs.CacheHit), cs.Hits},
-		{"misses", log.Count(obs.CacheMiss), cs.Misses},
-		{"writes", log.Count(obs.CacheWrite), cs.InitialWrites},
-		{"fills", log.Count(obs.CacheFill), cs.Fills},
-		{"filtered writes", log.Count(obs.CacheWriteFiltered), cs.WritesFiltered},
-		{"evictions", log.Count(obs.CacheEvict), cs.Evictions},
-		{"invalidations", log.Count(obs.CacheInvalidate), cs.Invalidations},
-		{"filtered misses", log.MissCount(int8(core.MissFiltered)), cs.MissBy[core.MissFiltered]},
-		{"capacity misses", log.MissCount(int8(core.MissCapacity)), cs.MissBy[core.MissCapacity]},
-		{"conflict misses", log.MissCount(int8(core.MissConflict)), cs.MissBy[core.MissConflict]},
+		{obs.CacheHit.String(), cs.Hits},
+		{obs.CacheMiss.String(), cs.Misses},
+		{obs.CacheWrite.String(), cs.InitialWrites},
+		{obs.CacheFill.String(), cs.Fills},
+		{obs.CacheWriteFiltered.String(), cs.WritesFiltered},
+		{obs.CacheEvict.String(), cs.Evictions},
+		{obs.CacheInvalidate.String(), cs.Invalidations},
+		{"miss:" + obs.MissKindName(int8(core.MissFiltered)), cs.MissBy[core.MissFiltered]},
+		{"miss:" + obs.MissKindName(int8(core.MissCapacity)), cs.MissBy[core.MissCapacity]},
+		{"miss:" + obs.MissKindName(int8(core.MissConflict)), cs.MissBy[core.MissConflict]},
 	}
 	for _, ck := range checks {
-		if ck.got != ck.want {
-			t.Errorf("%s: log aggregated %d, stats counted %d", ck.name, ck.got, ck.want)
+		if counts[ck.key] != ck.want {
+			t.Errorf("%s: log holds %d, stats counted %d", ck.key, counts[ck.key], ck.want)
 		}
 	}
 	if log.EvictUses().N() != cs.Evictions {
 		t.Errorf("evict-use histogram n = %d, want %d", log.EvictUses().N(), cs.Evictions)
-	}
-	// Every NDJSON line must parse.
-	dec := json.NewDecoder(&buf)
-	var lines int
-	for dec.More() {
-		var m map[string]any
-		if err := dec.Decode(&m); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		lines++
-	}
-	if lines == 0 {
-		t.Fatal("empty cache log")
 	}
 }
 
@@ -76,7 +77,7 @@ func TestChromeTraceMatchesStats(t *testing.T) {
 	if !ok {
 		t.Fatal("no gzip profile")
 	}
-	pl := New(DefaultConfig(), prog.MustGenerate(prof))
+	pl := New(DefaultConfig(), mustGenerate(t, prof))
 	var buf bytes.Buffer
 	ct := obs.NewChromeTrace(&buf, true)
 	pl.SetTracer(ct)
@@ -126,9 +127,9 @@ func TestTracerDeterminism(t *testing.T) {
 	if !ok {
 		t.Fatal("no mcf profile")
 	}
-	base := New(DefaultConfig(), prog.MustGenerate(prof)).Run(10_000)
+	base := New(DefaultConfig(), mustGenerate(t, prof)).Run(10_000)
 
-	pl := New(DefaultConfig(), prog.MustGenerate(prof))
+	pl := New(DefaultConfig(), mustGenerate(t, prof))
 	pl.SetTracer(obs.NewCacheLog(nopWriter{}))
 	traced := pl.Run(10_000)
 

@@ -83,14 +83,6 @@ func (c *Characterization) OpFrac(op isa.Op) float64 {
 	return float64(c.OpCounts[op]) / float64(c.Insts)
 }
 
-// SingleUseFrac returns the fraction of definitions consumed exactly once.
-func (c *Characterization) SingleUseFrac() float64 {
-	if c.DegreeOfUse.N() == 0 {
-		return 0
-	}
-	return float64(c.DegreeOfUse.Count(1)) / float64(c.DegreeOfUse.N())
-}
-
 // String renders a human-readable report.
 func (c *Characterization) String() string {
 	var b strings.Builder

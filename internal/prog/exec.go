@@ -215,17 +215,6 @@ func (e *Exec) LogLen() int { return len(e.log) - e.head }
 // rollback at recovery restores the correct-path PC.
 func (e *Exec) ForcePC(pc uint64) { e.setPC(pc) }
 
-// Step executes the instruction at the current PC and advances. It panics
-// if the PC does not map to an instruction; callers on speculative paths
-// must check InstAt first (the pipeline does).
-func (e *Exec) Step() Step {
-	in := e.prog.InstAt(e.pc)
-	if in == nil {
-		panic(fmt.Sprintf("prog: execution fell off code at %#x", e.pc))
-	}
-	return e.StepInst(in)
-}
-
 // StepInst executes in (which must be the instruction at the current PC)
 // and advances the PC to the functional next PC. All architectural changes
 // are undo-logged.

@@ -111,7 +111,7 @@ func FuzzProgramGenerate(f *testing.F) {
 		// the same architectural trace.
 		e1, e2 := NewExec(prog), NewExec(again)
 		for i := 0; i < 256; i++ {
-			s1, s2 := e1.Step(), e2.Step()
+			s1, s2 := e1.step(), e2.step()
 			s1.Inst, s2.Inst = nil, nil // compare values, not pointers
 			if s1 != s2 {
 				t.Fatalf("step %d: execution diverged: %+v vs %+v", i, s1, s2)

@@ -117,16 +117,6 @@ func ThreadProfile(p Profile, tid int) Profile {
 	return p
 }
 
-// MustGenerate is Generate for profiles known to be valid (the built-ins);
-// it panics on error.
-func MustGenerate(p Profile) *Program {
-	prog, err := Generate(p)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 // generator carries the emission state for one program.
 type generator struct {
 	prof         Profile

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"fmt"
 	"testing"
 
 	"regcache/internal/isa"
@@ -30,7 +31,7 @@ func TestBuilderAndLoopExecution(t *testing.T) {
 	e := NewExec(p)
 	steps := 0
 	for e.PC() != p.Entry()+4*isa.InstBytes && steps < 100 {
-		e.Step()
+		e.step()
 		steps++
 	}
 	// 1 init + 5 iterations * 3 insts = 16 steps to reach the End label.
@@ -90,7 +91,7 @@ func TestInstAtBounds(t *testing.T) {
 
 func TestExecMemoryLayers(t *testing.T) {
 	b := NewBuilder("mem", 42)
-	b.Data(0x1234_5678, 123) // globals region: exempt from jump-table validation
+	b.image[0x1234_5678] = 123 // globals region: exempt from jump-table validation
 	b.Label("E")
 	b.EmitBranch(isa.Inst{Op: isa.OpJump}, "E")
 	p, err := b.Finish()
@@ -120,19 +121,19 @@ func TestExecMemoryLayers(t *testing.T) {
 func TestExecRollback(t *testing.T) {
 	p := buildTinyLoop(t)
 	e := NewExec(p)
-	e.Step() // r1 = 5
+	e.step() // r1 = 5
 	tok := e.Checkpoint()
 	pcBefore := e.PC()
 	r1, r2 := e.Reg(isa.IntR(1)), e.Reg(isa.IntR(2))
 	for i := 0; i < 7; i++ {
-		e.Step()
+		e.step()
 	}
 	e.Rollback(tok)
 	if e.PC() != pcBefore || e.Reg(isa.IntR(1)) != r1 || e.Reg(isa.IntR(2)) != r2 {
 		t.Fatalf("rollback did not restore state: pc=%#x r1=%d r2=%d", e.PC(), e.Reg(isa.IntR(1)), e.Reg(isa.IntR(2)))
 	}
 	// Execution after rollback proceeds identically.
-	s := e.Step()
+	s := e.step()
 	if s.Inst.PC != pcBefore {
 		t.Fatal("step after rollback executed wrong instruction")
 	}
@@ -150,11 +151,11 @@ func TestExecRollbackMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewExec(p)
-	e.Step()
-	e.Step()
+	e.step()
+	e.step()
 	orig := e.Load(GlobalBase)
 	tok := e.Checkpoint()
-	e.Step() // store
+	e.step() // store
 	if e.Load(GlobalBase) != 77 {
 		t.Fatal("store not applied")
 	}
@@ -168,7 +169,7 @@ func TestExecCommitBoundsLog(t *testing.T) {
 	p := buildTinyLoop(t)
 	e := NewExec(p)
 	for i := 0; i < 10; i++ {
-		e.Step()
+		e.step()
 	}
 	n := e.LogLen()
 	if n == 0 {
@@ -198,12 +199,12 @@ func TestCallRet(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewExec(p)
-	s := e.Step() // call
+	s := e.step() // call
 	if !s.Taken || e.Reg(isa.RA) != p.Entry()+isa.InstBytes {
 		t.Fatal("call did not record return address")
 	}
-	e.Step()     // li in f
-	s = e.Step() // ret
+	e.step()     // li in f
+	s = e.step() // ret
 	if s.NextPC != p.Entry()+isa.InstBytes {
 		t.Fatalf("ret went to %#x, want %#x", s.NextPC, p.Entry()+isa.InstBytes)
 	}
@@ -225,8 +226,8 @@ func TestGenerateAllProfilesValid(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(SPECProfiles[0])
-	b := MustGenerate(SPECProfiles[0])
+	a := mustGenerate(t, SPECProfiles[0])
+	b := mustGenerate(t, SPECProfiles[0])
 	if a.NumInsts() != b.NumInsts() {
 		t.Fatal("same profile generated different program sizes")
 	}
@@ -241,7 +242,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGeneratedProgramsRun(t *testing.T) {
 	const steps = 50_000
 	for _, prof := range SPECProfiles {
-		p := MustGenerate(prof)
+		p := mustGenerate(t, prof)
 		e := NewExec(p)
 		for i := 0; i < steps; i++ {
 			in := p.InstAt(e.PC())
@@ -262,11 +263,11 @@ func TestCharacterizationShape(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing profile %s", name)
 		}
-		c := Characterize(MustGenerate(prof), 200_000)
+		c := Characterize(mustGenerate(t, prof), 200_000)
 		if c.Insts < 100_000 {
 			t.Fatalf("%s: executed only %d insts", name, c.Insts)
 		}
-		if su := c.SingleUseFrac(); su < 0.35 || su > 0.85 {
+		if su := float64(c.DegreeOfUse.Count(1)) / float64(c.DegreeOfUse.N()); su < 0.35 || su > 0.85 {
 			t.Errorf("%s: single-use fraction %.2f outside [0.35, 0.85]", name, su)
 		}
 		if lf := c.OpFrac(isa.OpLoad); lf < 0.05 || lf > 0.45 {
@@ -355,12 +356,12 @@ func TestRNGGeometricMean(t *testing.T) {
 func TestCheckpointTokensSurviveCommit(t *testing.T) {
 	p := buildTinyLoop(t)
 	e := NewExec(p)
-	e.Step()
+	e.step()
 	tokA := e.Checkpoint()
-	e.Step()
+	e.step()
 	tokB := e.Checkpoint()
-	e.Step()
-	e.Step()
+	e.step()
+	e.step()
 	// Commit up to tokA; tokB must remain a valid rollback target.
 	e.Commit(tokA)
 	e.Rollback(tokB)
@@ -379,7 +380,7 @@ func TestCheckpointTokensSurviveCommit(t *testing.T) {
 func TestForcePCIsUndone(t *testing.T) {
 	p := buildTinyLoop(t)
 	e := NewExec(p)
-	e.Step()
+	e.step()
 	tok := e.Checkpoint()
 	correct := e.PC()
 	e.ForcePC(0x9999)
@@ -390,4 +391,23 @@ func TestForcePCIsUndone(t *testing.T) {
 	if e.PC() != correct {
 		t.Fatalf("rollback restored pc=%#x, want %#x", e.PC(), correct)
 	}
+}
+
+// mustGenerate builds the program for a valid (built-in) profile.
+func mustGenerate(tb testing.TB, p Profile) *Program {
+	tb.Helper()
+	prog, err := Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
+// step executes the instruction at the current PC and advances.
+func (e *Exec) step() Step {
+	in := e.prog.InstAt(e.pc)
+	if in == nil {
+		panic(fmt.Sprintf("prog: execution fell off code at %#x", e.pc))
+	}
+	return e.StepInst(in)
 }

@@ -138,11 +138,6 @@ func (b *Builder) EmitBranch(in isa.Inst, label string) {
 	b.patches = append(b.patches, patch{instIdx: len(b.insts) - 1, label: label})
 }
 
-// Data places one 64-bit word into the static memory image.
-func (b *Builder) Data(addr, value uint64) {
-	b.image[addr&^7] = value
-}
-
 // DataLabel places the (eventually resolved) address of a label into the
 // static image — used for jump tables. The label must be bound by Finish.
 func (b *Builder) DataLabel(addr uint64, label string) {

@@ -171,9 +171,6 @@ func NewBackingFile(latency, npregs, ports int) *BackingFile {
 	}
 }
 
-// Latency returns the configured access latency.
-func (b *BackingFile) Latency() int { return b.latency }
-
 // NoteWrite records that p's value finished executing at cycle execEnd;
 // the register file write occupies the following latency cycles.
 func (b *BackingFile) NoteWrite(p core.PReg, execEnd uint64) {

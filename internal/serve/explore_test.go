@@ -340,7 +340,12 @@ func TestExploreShedsLikeSweeps(t *testing.T) {
 	if resp, data = get(t, ts.URL+"/v1/jobs/"+job.ID+"?wait=10s"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("filler job: status %d: %s", resp.StatusCode, data)
 	}
-	waitFor(t, func() bool { return srv.QueuedPoints() == 0 }, "queue to empty after the busy shed")
+	if err := json.Unmarshal(data, &job); err != nil || job.Status != "done" {
+		t.Fatalf("filler job = %s (err %v), want done", data, err)
+	}
+	if q := srv.QueuedPoints(); q != 0 {
+		t.Fatalf("queued points = %d once the filler job reads done, want 0", q)
+	}
 
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -28,11 +28,6 @@ import (
 // fleetEnabled reports whether this server fronts a fleet.
 func (s *Server) fleetEnabled() bool { return s.fleet != nil }
 
-// Fleet returns the server's coordinator (nil without -peers) — used by
-// cmd/regsimd for metric wiring and by the cluster tests for ring
-// introspection.
-func (s *Server) Fleet() *fleet.Coordinator { return s.fleet }
-
 // execSweep routes an admitted sweep: scattered across the fleet for
 // client-facing requests on a fleet member, executed on the local backend
 // otherwise (single-node servers and leaf sub-sweeps).
@@ -148,8 +143,8 @@ func (s *Server) registerFleetMetrics(reg *obs.Registry, prefix string) {
 }
 
 // isLeaf reports whether the request is a fabric sub-sweep (dispatched by
-// a peer gateway or a multi-endpoint client): executed locally, answered
-// synchronously, never re-scattered.
+// a peer gateway): executed locally, answered synchronously, never
+// re-scattered.
 func isLeaf(r *http.Request) bool {
 	return r.Header.Get(fleet.LeafHeader) == fleet.LeafValue
 }

@@ -103,8 +103,14 @@ func (s *Server) evictSettledLocked(max int) {
 	}
 }
 
-func (s *Server) finishJob(j *job, doc any, err error) {
+// finishJob settles an async job and returns its admitted points to the
+// queue in one critical section, so a client that sees the job settled
+// finds its points free. It is the job's release: the WaitGroup count
+// drops only after the done channel closes, so Drain waits for the
+// settlement too.
+func (s *Server) finishJob(j *job, doc any, err error, points int) {
 	s.mu.Lock()
+	s.queued -= points
 	j.settled = time.Now()
 	if err != nil {
 		j.state, j.err = jobFailed, err
@@ -113,6 +119,7 @@ func (s *Server) finishJob(j *job, doc any, err error) {
 	}
 	s.mu.Unlock()
 	close(j.done)
+	s.wg.Done()
 }
 
 func (s *Server) lookupJob(id string) *job {

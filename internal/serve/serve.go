@@ -178,9 +178,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Backend returns the point executor (for tests and metric wiring).
-func (s *Server) Backend() Backend { return s.backend }
-
 // QueuedPoints returns the number of admitted-but-unfinished points.
 func (s *Server) QueuedPoints() int {
 	s.mu.Lock()
@@ -281,7 +278,7 @@ func (s *Server) registry() *obs.Registry {
 
 // admit reserves n points of queue budget and a sweep WaitGroup count, or
 // reports why it cannot. Every admitted sweep must be balanced by exactly
-// one release.
+// one release (finishJob, for an async job).
 func (s *Server) admit(n int) (ok, draining bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,9 +363,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	points := sw.Points()
 	root.SetInt("points", int64(points))
 
-	// A leaf request is a sub-sweep dispatched by a peer gateway (or a
-	// multi-endpoint client): it executes locally and synchronously, never
-	// re-scattered.
+	// A leaf request is a sub-sweep dispatched by a peer gateway: it
+	// executes locally and synchronously, never re-scattered.
 	leaf := isLeaf(r)
 	viaFleet := s.fleetEnabled() && !leaf
 	s.admitAndRun(w, r, root, admission{
@@ -467,7 +463,6 @@ func (s *Server) admitAndRun(w http.ResponseWriter, r *http.Request, root *obs.S
 		root.SetString("job", j.id)
 		root.SetBool("async", true)
 		go func() {
-			defer s.release(admitPoints)
 			start := time.Now()
 			// The async trace outlives the HTTP exchange: the root span
 			// stays open until the job settles, then the tree is recorded.
@@ -480,7 +475,7 @@ func (s *Server) admitAndRun(w http.ResponseWriter, r *http.Request, root *obs.S
 			root.SetError(err)
 			root.End()
 			s.observeSweep(time.Since(start))
-			s.finishJob(j, doc, err)
+			s.finishJob(j, doc, err, admitPoints)
 			obs.Logger().InfoContext(ctx, "async "+a.kind+" settled",
 				"request_id", reqID, "job", j.id, "points", a.points,
 				"elapsed_ms", float64(time.Since(start).Microseconds())/1e3,

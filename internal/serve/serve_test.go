@@ -251,6 +251,11 @@ func TestFullQueueShedsLoad(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil || st.Status != "done" {
 		t.Fatalf("job status = %s (err %v), want done", data, err)
 	}
+	// A settled job has returned its points: a client that saw it done
+	// may resubmit at once.
+	if q := srv.QueuedPoints(); q != 0 {
+		t.Fatalf("queued points = %d once the job reads done, want 0", q)
+	}
 	resp, data = postSweep(t, ts, `{"benches":["gzip"],"schemes":["mono:3"]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain sweep: status %d, want 200: %s", resp.StatusCode, data)

@@ -48,7 +48,7 @@ func TestWarmStartServesSweepFromStore(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("cold sweep: %d %s", resp.StatusCode, cold)
 	}
-	st1 := srv1.Backend().Stats()
+	st1 := srv1.backend.Stats()
 	if st1.JobsRun != points || st1.StoreHits != 0 {
 		t.Fatalf("cold generation stats: %+v", st1)
 	}
@@ -61,7 +61,7 @@ func TestWarmStartServesSweepFromStore(t *testing.T) {
 		// only after the drain is the count guaranteed.
 		t.Logf("writes before drain: %d", got)
 	}
-	if st := srv1.Backend().Stats(); st.StoreWrites != points {
+	if st := srv1.backend.Stats(); st.StoreWrites != points {
 		t.Fatalf("drain must flush every append: %+v", st)
 	}
 	if err := rs1.Close(); err != nil {
@@ -76,7 +76,7 @@ func TestWarmStartServesSweepFromStore(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("warm sweep: %d %s", resp.StatusCode, warm)
 	}
-	st2 := srv2.Backend().Stats()
+	st2 := srv2.backend.Stats()
 	if st2.JobsRun != 0 {
 		t.Fatalf("warm restart simulated %d points, want 0 (%+v)", st2.JobsRun, st2)
 	}
@@ -100,7 +100,7 @@ func TestWarmStartServesSweepFromStore(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("bumped sweep: %d %s", resp.StatusCode, bumped)
 	}
-	st3 := srv3.Backend().Stats()
+	st3 := srv3.backend.Stats()
 	if st3.StoreHits != 0 || st3.JobsRun != points {
 		t.Fatalf("version bump must invalidate the store: %+v", st3)
 	}

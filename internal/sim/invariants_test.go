@@ -24,7 +24,7 @@ const invariantInsts = 20_000
 func TestMatrixInvariants(t *testing.T) {
 	r := NewRunnerWith(0, NewWorkloadCache())
 	defer r.Close()
-	schemes := append(DefaultMatrix(), UseBased(64, 2, core.IndexFilteredRR).WithOracle())
+	schemes := append(defaultMatrix(), UseBased(64, 2, core.IndexFilteredRR).WithOracle())
 	benches := QuickBenchmarks()
 	o := Options{Insts: invariantInsts}
 	r.Prefetch(benches, schemes, o)

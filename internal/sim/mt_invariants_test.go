@@ -168,7 +168,7 @@ func TestUnportedIsOnePort(t *testing.T) {
 // the default backing latency (whose write interlock never binds) — for
 // the machine and for every context.
 func TestWidePortsNeverWait(t *testing.T) {
-	ports := 2 * pipeline.DefaultConfig().IssueWidth
+	ports := 2 * pipeline.IssueWidth
 	portRelationRuns(t, func(t *testing.T, r *Runner, b string, s Scheme, o Options, _ pipeline.Result) {
 		wide := s.WithPorts(ports)
 		res, err := r.Run(context.Background(), b, wide, o)

@@ -55,7 +55,7 @@ func TestSingleContextGoldenFingerprints(t *testing.T) {
 	}
 	o := Options{Insts: 50_000}
 	for bench, want := range goldenRunFingerprints {
-		for _, sc := range DefaultMatrix() {
+		for _, sc := range defaultMatrix() {
 			exp, ok := want[sc.Name]
 			if !ok {
 				t.Errorf("%s/%s: no pinned fingerprint for matrix scheme (update the table deliberately)", bench, sc.Name)

@@ -311,8 +311,8 @@ func validateCacheConfig(name string, c core.Config) error {
 	}
 	// Zero defaults to the machine's NumPRegs; an explicit value must
 	// cover it, or core panics on the first out-of-range tag.
-	if npregs := pipeline.DefaultConfig().NumPRegs; c.MaxPRegs != 0 && (c.MaxPRegs < npregs || c.MaxPRegs > maxPRegSpace) {
-		return fmt.Errorf("sim: scheme %q: MaxPRegs %d outside [%d,%d]", name, c.MaxPRegs, npregs, maxPRegSpace)
+	if c.MaxPRegs != 0 && (c.MaxPRegs < pipeline.NumPRegs || c.MaxPRegs > maxPRegSpace) {
+		return fmt.Errorf("sim: scheme %q: MaxPRegs %d outside [%d,%d]", name, c.MaxPRegs, pipeline.NumPRegs, maxPRegSpace)
 	}
 	return nil
 }
@@ -374,22 +374,4 @@ func (r SchemeRecord) ToScheme() (Scheme, error) {
 		return Scheme{}, err
 	}
 	return s, nil
-}
-
-// DefaultMatrix returns the canonical scheme matrix the evaluation sweeps:
-// the monolithic baselines, the paper's use-based cache under every index
-// scheme, both reference caches, and the two-level file. Service sweeps
-// and the invariant suite both iterate it.
-func DefaultMatrix() []Scheme {
-	return []Scheme{
-		Monolithic(1),
-		Monolithic(3),
-		UseBased(64, 2, core.IndexPReg),
-		UseBased(64, 2, core.IndexRoundRobin),
-		UseBased(64, 2, core.IndexMinimum),
-		UseBased(64, 2, core.IndexFilteredRR),
-		LRU(64, 2, core.IndexRoundRobin),
-		NonBypass(64, 2, core.IndexRoundRobin),
-		TwoLevel(96, 2),
-	}
 }

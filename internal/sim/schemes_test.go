@@ -199,7 +199,7 @@ func TestParseIndexSchemeAliases(t *testing.T) {
 // resubmitted verbatim: Scheme -> NewSchemeRecord -> ToScheme must be the
 // identity for every scheme in the default matrix (plus modifiers).
 func TestSchemeRecordRoundTrip(t *testing.T) {
-	schemes := append(DefaultMatrix(),
+	schemes := append(defaultMatrix(),
 		UseBased(64, 2, core.IndexFilteredRR).WithOracle(),
 		UseBased(64, 2, core.IndexRoundRobin).WithBacking(7),
 	)
@@ -261,7 +261,7 @@ func TestSchemeRecordToSchemeErrors(t *testing.T) {
 // builders produce (the whole default matrix plus modifiers) passes
 // Validate — the wire-side check must never reject legitimate sweeps.
 func TestValidateAcceptsBuilders(t *testing.T) {
-	schemes := append(DefaultMatrix(),
+	schemes := append(defaultMatrix(),
 		UseBased(16, 0, core.IndexMinimum), // fully associative
 		UseBased(64, 2, core.IndexFilteredRR).WithOracle().WithBacking(5),
 	)
@@ -272,17 +272,34 @@ func TestValidateAcceptsBuilders(t *testing.T) {
 	}
 }
 
+// defaultMatrix is the canonical scheme matrix the invariant suites
+// sweep: the monolithic baselines, the paper's use-based cache under every
+// index scheme, both reference caches, and the two-level file.
+func defaultMatrix() []Scheme {
+	return []Scheme{
+		Monolithic(1),
+		Monolithic(3),
+		UseBased(64, 2, core.IndexPReg),
+		UseBased(64, 2, core.IndexRoundRobin),
+		UseBased(64, 2, core.IndexMinimum),
+		UseBased(64, 2, core.IndexFilteredRR),
+		LRU(64, 2, core.IndexRoundRobin),
+		NonBypass(64, 2, core.IndexRoundRobin),
+		TwoLevel(96, 2),
+	}
+}
+
 // TestDefaultMatrixDistinctNames guards the sweep matrix itself: names are
 // the identity the service reports, so duplicates would silently merge
 // sweep rows.
 func TestDefaultMatrixDistinctNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, s := range DefaultMatrix() {
+	for _, s := range defaultMatrix() {
 		if s.Name == "" {
 			t.Errorf("scheme %+v has no name", s)
 		}
 		if seen[s.Name] {
-			t.Errorf("duplicate scheme name %q in DefaultMatrix", s.Name)
+			t.Errorf("duplicate scheme name %q in defaultMatrix", s.Name)
 		}
 		seen[s.Name] = true
 		if spec, err := ParseSchemeSpec(specFor(t, s)); err == nil && spec != s {

@@ -234,9 +234,11 @@ func ValidatePoint(s Scheme, o Options) error {
 
 // DefaultInsts is the per-benchmark instruction budget used when an
 // Options.Insts is zero. The paper simulates 2 B instructions per
-// benchmark; register cache behaviour reaches steady state within tens of
-// thousands of cycles, so a scaled-down budget preserves the comparisons
-// (see DESIGN.md).
+// benchmark. A budget this short still measures a machine warming its
+// caches and predictors: the hmean IPC of mono:3 over the 12 benchmarks
+// is 1.25 at 150k instructions against 2.96 at 9.6M, and the design
+// point's gain over it +1.11% against +2.32%. The ordering of the
+// schemes holds, which is what the figures compare (see DESIGN.md).
 const DefaultInsts = 200_000
 
 // DefaultWarmupInsts is the per-interval warm-up budget when interval
@@ -342,8 +344,7 @@ func executeIntervals(wc *WorkloadCache, bench string, s Scheme, o Options, sp *
 	if err != nil {
 		return pipeline.Result{}, 0, err
 	}
-	cfg := s.config(o)
-	cks, err := wc.Checkpoints(bench, o.Insts, o.Intervals, o.WarmupInsts, cfg.Mem)
+	cks, err := wc.Checkpoints(bench, o.Insts, o.Intervals, o.WarmupInsts)
 	if err != nil {
 		return pipeline.Result{}, 0, err
 	}
@@ -357,7 +358,7 @@ func executeIntervals(wc *WorkloadCache, bench string, s Scheme, o Options, sp *
 			return pipeline.Result{}, 0, err
 		}
 	}
-	res := pipeline.RunIntervals(cfg, p, o.Insts, io)
+	res := pipeline.RunIntervals(s.config(o), p, o.Insts, io)
 	return res, tm.StitchNS, nil
 }
 
@@ -469,19 +470,6 @@ func (sr *SuiteResult) RelIPC(base *SuiteResult) float64 {
 	}
 	return stats.GeoMean(ratios)
 }
-
-// IPCs returns per-benchmark IPCs in suite order.
-func (sr *SuiteResult) IPCs() []float64 {
-	out := make([]float64, 0, len(sr.Order))
-	for _, b := range sr.Order {
-		out = append(out, sr.PerBench[b].IPC())
-	}
-	return out
-}
-
-// HMeanIPC returns the harmonic mean IPC over the suite (the conventional
-// aggregate for rate metrics).
-func (sr *SuiteResult) HMeanIPC() float64 { return stats.HarmonicMean(sr.IPCs()) }
 
 // MeanMissRate returns the arithmetic mean per-operand register cache miss
 // rate (zero for non-cache schemes).

@@ -65,12 +65,10 @@ func TestRunAndSuite(t *testing.T) {
 	if len(sr.PerBench) != 2 {
 		t.Fatalf("suite has %d results", len(sr.PerBench))
 	}
-	ipcs := sr.IPCs()
-	if len(ipcs) != 2 || ipcs[0] <= 0 || ipcs[1] <= 0 {
-		t.Fatalf("bad IPCs: %v", ipcs)
-	}
-	if h := sr.HMeanIPC(); h <= 0 || h > 8 {
-		t.Fatalf("hmean IPC %v implausible", h)
+	for _, b := range sr.Order {
+		if ipc := sr.PerBench[b].IPC(); ipc <= 0 || ipc > 8 {
+			t.Fatalf("%s: IPC %v implausible", b, ipc)
+		}
 	}
 	if mr := sr.MeanMissRate(); mr < 0 || mr > 1 {
 		t.Fatalf("miss rate %v out of range", mr)

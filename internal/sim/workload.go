@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sync"
 
-	"regcache/internal/memsys"
 	"regcache/internal/pipeline"
 	"regcache/internal/prog"
 )
@@ -40,16 +39,14 @@ type oracleKey struct {
 }
 
 // ckptKey identifies one interval checkpoint set: the capture points are a
-// pure function of (budget, interval count, warm-up), and the functional
-// warm image baked into each checkpoint depends on the memory-hierarchy
-// geometry, so the set is keyed by all four plus the benchmark. Schemes
-// share sets (they almost always share the default memory system).
+// pure function of (budget, interval count, warm-up), so the set is keyed
+// by those three plus the benchmark. Every scheme shares a set: the warm
+// memory image baked into each checkpoint is the one Table 1 hierarchy.
 type ckptKey struct {
 	bench  string
 	insts  uint64
 	k      int
 	warmup uint64
-	mem    memsys.Config
 }
 
 // progEntry and oracleEntry are single-flight slots: the once runs the
@@ -191,11 +188,11 @@ func (c *WorkloadCache) Oracle(bench string, insts uint64) (*pipeline.OracleTabl
 }
 
 // Checkpoints returns the interval checkpoint set for (bench, insts, k,
-// warmup, mem), running the functional capture pass once per distinct
-// split and sharing the immutable set across every interval-parallel run
+// warmup), running the functional capture pass once per distinct split
+// and sharing the immutable set across every interval-parallel run
 // thereafter (each pipeline copies the state it starts from).
-func (c *WorkloadCache) Checkpoints(bench string, insts uint64, k int, warmup uint64, mem memsys.Config) ([]pipeline.Checkpoint, error) {
-	key := ckptKey{bench: bench, insts: insts, k: k, warmup: warmup, mem: mem}
+func (c *WorkloadCache) Checkpoints(bench string, insts uint64, k int, warmup uint64) ([]pipeline.Checkpoint, error) {
+	key := ckptKey{bench: bench, insts: insts, k: k, warmup: warmup}
 	c.mu.Lock()
 	e, ok := c.ckpts[key]
 	if !ok {
@@ -212,7 +209,7 @@ func (c *WorkloadCache) Checkpoints(bench string, insts uint64, k int, warmup ui
 			e.err = err
 			return
 		}
-		e.cks = pipeline.CaptureCheckpoints(p, pipeline.CapturePoints(pipeline.IntervalStarts(insts, k), warmup), mem)
+		e.cks = pipeline.CaptureCheckpoints(p, pipeline.CapturePoints(pipeline.IntervalStarts(insts, k), warmup))
 	})
 	return e.cks, e.err
 }

@@ -28,26 +28,22 @@ func TestEmptyHistogramEdges(t *testing.T) {
 	if got := h.Median(); got != 0 {
 		t.Errorf("empty Median = %d, want 0", got)
 	}
-	if pts := h.CDF(); len(pts) != 0 {
-		t.Errorf("empty CDF has %d points", len(pts))
+	if got := h.CumulativeLE(1000); got != 0 {
+		t.Errorf("empty CumulativeLE = %d, want 0", got)
 	}
 	if h.Count(0) != 0 || h.Count(-5) != 0 || h.Count(1000) != 0 {
 		t.Errorf("empty Count nonzero")
 	}
 }
 
-// TestSingleBucketCDF: one distinct value must produce exactly one CDF
-// point at fraction 1.0, whatever its count.
+// TestSingleBucketCDF: one distinct value must hold the whole cumulative
+// distribution at that value, whatever its count.
 func TestSingleBucketCDF(t *testing.T) {
 	for _, n := range []uint64{1, 7, 1 << 40} {
 		h := NewHistogram()
 		h.AddN(13, n)
-		pts := h.CDF()
-		if len(pts) != 1 {
-			t.Fatalf("n=%d: CDF has %d points, want 1", n, len(pts))
-		}
-		if pts[0].Value != 13 || pts[0].Fraction != 1.0 {
-			t.Errorf("n=%d: CDF point = %+v, want {13 1}", n, pts[0])
+		if below, at := h.CumulativeLE(12), h.CumulativeLE(13); below != 0 || at != n {
+			t.Errorf("n=%d: cumulative counts %d below 13 and %d through it, want 0 and %d", n, below, at, n)
 		}
 		if h.Percentile(0.0001) != 13 || h.Percentile(1) != 13 {
 			t.Errorf("n=%d: single-bucket percentiles not 13", n)
@@ -97,9 +93,8 @@ func TestAddNLargeCounts(t *testing.T) {
 	if got := h.Percentile(0.51); got != 4 {
 		t.Errorf("p51 = %d, want 4", got)
 	}
-	pts := h.CDF()
-	if len(pts) != 2 || pts[0].Fraction != 0.5 || pts[1].Fraction != 1.0 {
-		t.Errorf("CDF = %+v, want fractions 0.5 and 1.0", pts)
+	if lo, hi := h.CumulativeLE(2), h.CumulativeLE(4); lo != big || hi != 2*big {
+		t.Errorf("cumulative counts = %d, %d, want %d, %d", lo, hi, big, 2*big)
 	}
 }
 

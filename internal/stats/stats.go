@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -136,27 +135,6 @@ func (h *Histogram) CumulativeLE(v int) uint64 {
 	return cum
 }
 
-// CDF returns (value, cumulative fraction) pairs for every value with a
-// non-zero count, in increasing value order.
-func (h *Histogram) CDF() []CDFPoint {
-	pts := make([]CDFPoint, 0, 64)
-	var cum uint64
-	for v, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		pts = append(pts, CDFPoint{Value: v, Fraction: float64(cum) / float64(h.n)})
-	}
-	return pts
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    int
-	Fraction float64
-}
-
 // Merge adds all observations from other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	for v, c := range other.counts {
@@ -171,44 +149,6 @@ func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f min=%d p50=%d p90=%d max=%d",
 		h.n, h.Mean(), h.Min(), h.Median(), h.Percentile(0.9), h.Max())
 }
-
-// Running accumulates a stream of float64 samples and reports mean and
-// standard deviation without storing the samples (Welford's algorithm).
-type Running struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one sample.
-func (r *Running) Add(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of samples.
-func (r *Running) N() uint64 { return r.n }
-
-// Mean returns the sample mean, or 0 if empty.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.mean
-}
-
-// Variance returns the population variance, or 0 for fewer than 2 samples.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
 // Mean returns the arithmetic mean of xs, or 0 if empty.
 func Mean(xs []float64) float64 {
@@ -252,21 +192,6 @@ func HarmonicMean(xs []float64) float64 {
 		s += 1 / x
 	}
 	return float64(len(xs)) / s
-}
-
-// Median returns the median of xs (average of the two middle elements for
-// even lengths). It does not modify xs.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
 }
 
 // Ratio returns a/b, or 0 when b is 0, avoiding NaN in reports.

@@ -48,15 +48,13 @@ func TestHistogramCDF(t *testing.T) {
 	h := NewHistogram()
 	h.AddN(2, 2)
 	h.AddN(5, 2)
-	pts := h.CDF()
-	if len(pts) != 2 {
-		t.Fatalf("CDF has %d points, want 2", len(pts))
-	}
-	if pts[0].Value != 2 || math.Abs(pts[0].Fraction-0.5) > 1e-12 {
-		t.Errorf("first point = %+v, want {2 0.5}", pts[0])
-	}
-	if pts[1].Value != 5 || math.Abs(pts[1].Fraction-1.0) > 1e-12 {
-		t.Errorf("second point = %+v, want {5 1}", pts[1])
+	for _, c := range []struct {
+		v    int
+		want uint64
+	}{{1, 0}, {2, 2}, {4, 2}, {5, 4}, {99, 4}} {
+		if got := h.CumulativeLE(c.v); got != c.want {
+			t.Errorf("CumulativeLE(%d) = %d, want %d", c.v, got, c.want)
+		}
 	}
 }
 
@@ -124,19 +122,6 @@ func TestHistogramMeanProperty(t *testing.T) {
 	}
 }
 
-func TestRunning(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5", r.Mean())
-	}
-	if math.Abs(r.StdDev()-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", r.StdDev())
-	}
-}
-
 func TestMeans(t *testing.T) {
 	xs := []float64{1, 2, 4}
 	if got := Mean(xs); math.Abs(got-7.0/3) > 1e-12 {
@@ -172,15 +157,6 @@ func TestMeanInequalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMedianSlice(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("even median = %v, want 2.5", got)
 	}
 }
 

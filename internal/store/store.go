@@ -597,41 +597,3 @@ func (s *Store) Entries() []EntryInfo {
 	}
 	return out
 }
-
-// Range calls fn for every live entry in insertion order, stopping early
-// if fn returns false. Entries that fail their read-time CRC check are
-// skipped (and counted), not fatal.
-func (s *Store) Range(fn func(k Key, v []byte) bool) error {
-	s.mu.Lock()
-	type kv struct {
-		k Key
-		e entry
-	}
-	all := make([]kv, 0, len(s.index))
-	for k, e := range s.index {
-		all = append(all, kv{k, e})
-	}
-	s.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].e.seq < all[j].e.seq })
-	for _, x := range all {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		cur, ok := s.index[x.k]
-		var val []byte
-		var err error
-		if ok && cur.seq == x.e.seq {
-			val, err = s.readLocked(x.k, cur)
-		}
-		s.mu.Unlock()
-		if !ok || err != nil {
-			continue
-		}
-		if !fn(x.k, val) {
-			return nil
-		}
-	}
-	return nil
-}

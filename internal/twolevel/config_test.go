@@ -28,7 +28,7 @@ func TestConfigDefaultsTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := New(tc.in, 512)
-			if got := f.Config(); got != tc.want {
+			if got := f.cfg; got != tc.want {
 				t.Errorf("Config() = %+v, want %+v", got, tc.want)
 			}
 		})
@@ -45,22 +45,22 @@ func TestOccupancyAccounting(t *testing.T) {
 			f := New(Config{L1Entries: entries, FreeThreshold: 1}, 512)
 			for i := 0; i < entries; i++ {
 				if !f.CanAllocate() {
-					t.Fatalf("CanAllocate false at occupancy %d/%d", f.Occupied(), entries)
+					t.Fatalf("CanAllocate false at occupancy %d/%d", f.occupied, entries)
 				}
 				f.Allocate(core.PReg(i))
 				f.Produced(core.PReg(i)) // the L1 slot is claimed at produce
 			}
 			if f.CanAllocate() {
-				t.Fatalf("CanAllocate true at full occupancy %d", f.Occupied())
+				t.Fatalf("CanAllocate true at full occupancy %d", f.occupied)
 			}
-			if f.Occupied() != entries {
-				t.Fatalf("Occupied = %d, want %d", f.Occupied(), entries)
+			if f.occupied != entries {
+				t.Fatalf("Occupied = %d, want %d", f.occupied, entries)
 			}
 			for i := 0; i < entries; i++ {
 				f.Free(core.PReg(i))
 			}
-			if f.Occupied() != 0 {
-				t.Fatalf("Occupied = %d after freeing all, want 0", f.Occupied())
+			if f.occupied != 0 {
+				t.Fatalf("Occupied = %d after freeing all, want 0", f.occupied)
 			}
 			if !f.CanAllocate() {
 				t.Fatalf("CanAllocate false on empty file")

@@ -90,12 +90,6 @@ func New(cfg Config, npregs int) *File {
 	}
 }
 
-// Config returns the (defaulted) configuration.
-func (f *File) Config() Config { return f.cfg }
-
-// Occupied returns the number of L1 slots in use.
-func (f *File) Occupied() int { return f.occupied }
-
 // CanAllocate reports whether an L1 register is available for rename. When
 // false the caller stalls rename and should call NoteRenameStall.
 func (f *File) CanAllocate() bool { return f.occupied < f.cfg.L1Entries }

@@ -19,18 +19,18 @@ func TestProductionFillsL1(t *testing.T) {
 		f.Allocate(p)
 	}
 	// Slots are claimed at production, not rename.
-	if f.Occupied() != 0 {
-		t.Fatalf("occupied = %d before production, want 0", f.Occupied())
+	if f.occupied != 0 {
+		t.Fatalf("occupied = %d before production, want 0", f.occupied)
 	}
 	for p := core.PReg(0); p < 4; p++ {
 		f.Produced(p)
 	}
-	if f.Occupied() != 4 || f.CanAllocate() {
+	if f.occupied != 4 || f.CanAllocate() {
 		t.Fatal("full L1 should refuse allocation")
 	}
 	// Double production is idempotent.
 	f.Produced(0)
-	if f.Occupied() != 4 {
+	if f.occupied != 4 {
 		t.Fatal("double production changed occupancy")
 	}
 	f.Free(0)
@@ -55,8 +55,8 @@ func TestMigrationRequiresDeadness(t *testing.T) {
 	// Consumer executes: now migratable.
 	f.ConsumerDone(0)
 	f.Tick()
-	if f.Migrations != 1 || f.Occupied() != 2 {
-		t.Fatalf("migrations=%d occupied=%d, want 1/2", f.Migrations, f.Occupied())
+	if f.Migrations != 1 || f.occupied != 2 {
+		t.Fatalf("migrations=%d occupied=%d, want 1/2", f.Migrations, f.occupied)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestRecoverCopiesAndStall(t *testing.T) {
 		f.Remapped(p)
 	}
 	f.Tick() // migrates 2 values to L2
-	if f.Occupied() != 1 {
-		t.Fatalf("occupied = %d, want 1", f.Occupied())
+	if f.occupied != 1 {
+		t.Fatalf("occupied = %d, want 1", f.occupied)
 	}
 	// Recovery makes pregs 0 and 1 visible again: 2 copies at bw 2 = 1
 	// cycle + L2 latency 2 = 3 cycles, minus 1 slack = 2 stall cycles.
@@ -119,8 +119,8 @@ func TestRecoverCopiesAndStall(t *testing.T) {
 	if stall != 2 {
 		t.Fatalf("recovery stall = %d, want 2", stall)
 	}
-	if f.Occupied() != 3 || f.RecoveredValues != 2 {
-		t.Fatalf("occupied=%d recovered=%d, want 3/2", f.Occupied(), f.RecoveredValues)
+	if f.occupied != 3 || f.RecoveredValues != 2 {
+		t.Fatalf("occupied=%d recovered=%d, want 3/2", f.occupied, f.RecoveredValues)
 	}
 	// Idempotent: values now in L1, nothing to recover.
 	if f.Recover([]core.PReg{0, 1}) != 0 {
@@ -149,9 +149,9 @@ func TestFreeFromL2(t *testing.T) {
 	}
 	f.Tick()
 	// preg 0 migrated; freeing it must not touch L1 occupancy.
-	occ := f.Occupied()
+	occ := f.occupied
 	f.Free(0)
-	if f.Occupied() != occ {
+	if f.occupied != occ {
 		t.Fatal("freeing an L2-resident value changed L1 occupancy")
 	}
 	// Double free is a no-op.
@@ -160,7 +160,7 @@ func TestFreeFromL2(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	f := New(Config{}, 8)
-	cfg := f.Config()
+	cfg := f.cfg
 	if cfg.L1Entries != 96 || cfg.CopyBandwidth != 4 || cfg.RefillSlack != 6 {
 		t.Errorf("defaults = %+v", cfg)
 	}

@@ -162,24 +162,6 @@ func (p *Predictor) Train(pc uint64, sig uint64, actual int) {
 	set[victim] = entry{tag: t, sig: s, pred: a, conf: 1, valid: true, lru: p.clock}
 }
 
-// Accuracy returns the fraction of training events whose value matched the
-// previously stored prediction (the paper reports 97% on average).
-func (p *Predictor) Accuracy() float64 {
-	if p.TrainEvents == 0 {
-		return 0
-	}
-	return float64(p.Correct) / float64(p.TrainEvents)
-}
-
-// Coverage returns the fraction of lookups that produced a confident
-// prediction.
-func (p *Predictor) Coverage() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(p.Lookups)
-}
-
 // ThreadPC salts a program counter with the hardware context id, giving
 // each context its own predictor signature space so interleaved threads
 // running the same static code do not train each other's entries. Context

@@ -99,13 +99,13 @@ func TestAccuracyAndCoverageCounters(t *testing.T) {
 	p := New(Config{})
 	p.Train(0x5000, 0, 2)
 	p.Train(0x5000, 0, 2) // matches prior prediction → Correct++
-	if p.Accuracy() != 0.5 {
-		t.Errorf("accuracy = %v, want 0.5 (1 of 2 trainings matched)", p.Accuracy())
+	if p.Correct != 1 || p.TrainEvents != 2 {
+		t.Errorf("correct/trainings = %d/%d, want 1/2", p.Correct, p.TrainEvents)
 	}
 	p.Predict(0x5000, 0)
 	p.Predict(0x9999000, 0)
-	if p.Coverage() != 0.5 {
-		t.Errorf("coverage = %v, want 0.5", p.Coverage())
+	if p.Hits != 1 || p.Lookups != 2 {
+		t.Errorf("hits/lookups = %d/%d, want 1/2", p.Hits, p.Lookups)
 	}
 }
 
@@ -115,7 +115,10 @@ func TestAccuracyAndCoverageCounters(t *testing.T) {
 // synthetic suite should be in that neighbourhood.
 func TestAccuracyOnGeneratedWorkload(t *testing.T) {
 	prof, _ := prog.ProfileByName("gzip")
-	pg := prog.MustGenerate(prof)
+	pg, err := prog.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := prog.NewExec(pg)
 	p := New(Config{})
 
