@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check perfbench-check
+.PHONY: ci fmt vet build test race runner-stress bench bench-smoke bench-json bench-json-store bench-json-fleet alloc-gate json-check experiments fuzz-smoke cover cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check perfbench-check
 
-ci: fmt vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check perfbench-check
+ci: fmt vet build race runner-stress bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check perfbench-check
 
 # Every tracked Go file, perfbench's included, must be gofmt-clean;
 # gofmt -l names the files that are not.
@@ -33,6 +33,14 @@ perfbench-check:
 
 race:
 	$(GO) test -race ./...
+
+# The run layer's scheduling tests, twenty rounds under the race detector:
+# Close, context leaving, single flight, panic recovery and the store
+# path, where an interleaving bug shows up only now and then.
+RUNNER_STRESS_TESTS = TestRunnerClose|TestRunnerCloseDrainsQueue|TestSubmitRespectsContext|TestRunnerContextCancellation|TestRunnerMemoizesAndSingleFlights|TestRunnerRecoversPanickedJob|TestStoreAppendFailureCounted|TestUseStoreAfterStartRefused|TestRunnerWarmRestart|TestJoinerOutlivesFirstRequester|TestAbandonedJobNeverRuns
+
+runner-stress:
+	$(GO) test -race -count=20 -run '^($(RUNNER_STRESS_TESTS))$$' ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -123,14 +123,13 @@ func benchSchemes() []sim.Scheme {
 }
 
 // BenchmarkRunnerColdSuite measures run-layer throughput with an empty
-// memo: every scheme×benchmark job simulates on the worker pool.
+// memo: each iteration builds a fresh runner, so every scheme×benchmark
+// job simulates on the worker pool.
 func BenchmarkRunnerColdSuite(b *testing.B) {
 	o := benchOptions()
-	r := sim.NewRunner(0)
-	defer r.Close()
-	var insts uint64
+	var insts, jobs uint64
 	for i := 0; i < b.N; i++ {
-		r.Reset()
+		r := sim.NewRunner(0)
 		r.Prefetch(o.Benches, benchSchemes(), sim.Options{Insts: o.Insts})
 		for _, s := range benchSchemes() {
 			for _, bench := range o.Benches {
@@ -140,10 +139,11 @@ func BenchmarkRunnerColdSuite(b *testing.B) {
 				insts += o.Insts
 			}
 		}
+		r.Close()
+		jobs += r.Stats().JobsRun
 	}
-	st := r.Stats()
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
-	b.ReportMetric(float64(st.JobsRun)/float64(b.N), "jobs/op")
+	b.ReportMetric(float64(jobs)/float64(b.N), "jobs/op")
 }
 
 // BenchmarkRunnerMemoizedSuite measures the warm path: after the first
@@ -235,9 +235,9 @@ func BenchmarkStoreLookup(b *testing.B) {
 }
 
 // BenchmarkRunnerWarmStore measures a warm restart through the run layer:
-// the store holds every suite point, the memo is cleared each iteration
-// (a fresh process generation), so every request is a store hit — index
-// probe, CRC check, payload decode — instead of a simulation.
+// the store holds every suite point and each iteration is a fresh runner
+// generation (memo cold, store warm), so every request is a store hit —
+// index probe, CRC check, payload decode — instead of a simulation.
 func BenchmarkRunnerWarmStore(b *testing.B) {
 	o := benchOptions()
 	opts := sim.Options{Insts: o.Insts}
@@ -247,24 +247,13 @@ func BenchmarkRunnerWarmStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rs.Close()
-	r := sim.NewRunner(0)
-	defer r.Close()
-	if err := r.UseStore(rs); err != nil {
-		b.Fatal(err)
-	}
-	points := 0
-	for _, s := range benchSchemes() {
-		for _, bench := range o.Benches {
-			if _, err := r.Run(context.Background(), bench, s, opts); err != nil {
-				b.Fatal(err)
-			}
-			points++
+	points := len(benchSchemes()) * len(o.Benches)
+	generation := func() sim.RunnerStats {
+		r := sim.NewRunner(0)
+		defer r.Close()
+		if err := r.UseStore(rs); err != nil {
+			b.Fatal(err)
 		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset() // next generation: memo cold, store warm
-		r.ResetStats()
 		for _, s := range benchSchemes() {
 			for _, bench := range o.Benches {
 				if _, err := r.Run(context.Background(), bench, s, opts); err != nil {
@@ -272,7 +261,12 @@ func BenchmarkRunnerWarmStore(b *testing.B) {
 				}
 			}
 		}
-		if st := r.Stats(); st.JobsRun != 0 || st.StoreHits != uint64(points) {
+		return r.Stats()
+	}
+	generation() // fill the store
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := generation(); st.JobsRun != 0 || st.StoreHits != uint64(points) {
 			b.Fatalf("warm store generation simulated: %+v", st)
 		}
 	}

@@ -53,8 +53,9 @@ func main() {
 		os.Exit(2)
 	}
 	defer func() {
-		// Drain queued store appends and release the writer lock so an
-		// interrupted-then-rerun suite resumes from everything finished.
+		// Wait for the in-flight store appends and release the writer lock
+		// so an interrupted-then-rerun suite resumes from everything
+		// finished.
 		if err := closeRunner(); err != nil {
 			fmt.Fprintf(os.Stderr, "closing store: %v\n", err)
 		}

@@ -62,10 +62,10 @@ func BindRunner(fs *flag.FlagSet) *RunnerFlags {
 
 // Open builds the runner the flags describe: a pool of -workers, the
 // -store directory attached as its durable cache, and its metrics served
-// on -http. The returned close shuts the pool down, which drains the
-// queued store appends, and only then releases the store's writer lock,
-// so the next run finds every finished point on disk. A command that
-// leaves through os.Exit must call it first.
+// on -http. The returned close shuts the pool down, which waits for the
+// in-flight store appends, and only then releases the store's writer
+// lock, so the next run finds every finished point on disk. A command
+// that leaves through os.Exit must call it first.
 func (f *RunnerFlags) Open() (*sim.Runner, func() error, error) {
 	if *f.workers < 1 {
 		return nil, nil, fmt.Errorf("invalid -workers %d: the pool needs at least one worker", *f.workers)

@@ -54,6 +54,9 @@ func cmdExplore(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkServer(*server); err != nil {
+		return err
+	}
 	if *entries == "" {
 		return invalidRequest{fmt.Errorf("explore needs -entries (comma list or min:max:step)")}
 	}

@@ -125,6 +125,16 @@ func flagSet(name string) (*flag.FlagSet, *string) {
 	return fs, server
 }
 
+// checkServer refuses a comma-separated -server before anything is sent.
+// Every subcommand talks to one regsimd; a fleet is reached through any
+// one member started with -peers, which acts as the gateway.
+func checkServer(server string) error {
+	if strings.Contains(server, ",") {
+		return invalidRequest{fmt.Errorf("-server takes one URL, got %q: to reach several nodes, name one regsimd started with -peers (the fleet gateway)", server)}
+	}
+	return nil
+}
+
 func cmdSubmit(args []string) error {
 	fs, server := flagSet("submit")
 	benches := fs.String("benches", "gzip", `comma-separated benchmarks, or "all"`)
@@ -139,8 +149,8 @@ func cmdSubmit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if strings.Contains(*server, ",") {
-		return invalidRequest{fmt.Errorf("-server takes one URL, got %q: to spread a sweep over several nodes, submit it to one regsimd started with -peers (the fleet gateway)", *server)}
+	if err := checkServer(*server); err != nil {
+		return err
 	}
 	req := sim.SweepRequest{
 		Benches:    cli.SplitList(*benches),
@@ -250,6 +260,9 @@ func cmdStatus(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkServer(*server); err != nil {
+		return err
+	}
 	if *job == "" {
 		return invalidRequest{fmt.Errorf("status needs -job")}
 	}
@@ -278,6 +291,9 @@ func cmdFetch(args []string) error {
 	job := fs.String("job", "", "job ID")
 	out := fs.String("o", "", "save the results JSON to this file")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkServer(*server); err != nil {
 		return err
 	}
 	if *job == "" {

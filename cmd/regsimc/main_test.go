@@ -357,9 +357,9 @@ func TestShedStatus(t *testing.T) {
 // shared with internal/sim and internal/serve through regsimc submit:
 // every row fails client-side with an error naming its field and
 // classified for exit status 2, and no request ever reaches a server.
-// Rows carrying scheme records have no flag form and are skipped. A
-// comma-separated -server list (multi-node sweeps go through a regsimd
-// -peers gateway) is refused the same way. A valid request that the
+// Rows carrying scheme records have no flag form and are skipped. Every
+// subcommand refuses a comma-separated -server list the same way (a fleet
+// is reached through one regsimd -peers gateway). A valid request that the
 // server refuses, or that never reaches a server, keeps exit status 1.
 func TestSubmitRejectsBeforeSending(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -384,9 +384,7 @@ func TestSubmitRejectsBeforeSending(t *testing.T) {
 		name, field string
 		args        []string
 	}
-	cases := []rejection{{"server list", "-server", []string{
-		"-server", ts.URL + "," + ts.URL, "-benches", "gzip", "-schemes", "use:16x2",
-	}}}
+	var cases []rejection
 	for _, row := range rows {
 		req := row.Request
 		if len(req.SchemeRecords) > 0 {
@@ -413,6 +411,25 @@ func TestSubmitRejectsBeforeSending(t *testing.T) {
 		}
 		if err != nil && exitCode(err) != 2 {
 			t.Errorf("%s: exit status %d for a client-side rejection, want 2", c.name, exitCode(err))
+		}
+	}
+
+	list := ts.URL + "," + ts.URL
+	for _, c := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+	}{
+		{"submit", cmdSubmit, []string{"-benches", "gzip", "-schemes", "use:16x2"}},
+		{"explore", cmdExplore, []string{"-entries", "16,32"}},
+		{"status", cmdStatus, []string{"-job", "j-1"}},
+		{"fetch", cmdFetch, []string{"-job", "j-1"}},
+	} {
+		err := c.cmd(append([]string{"-server", list}, c.args...))
+		if err == nil || !strings.Contains(err.Error(), "-server") {
+			t.Errorf("%s with a server list: error %v, want one naming -server", c.name, err)
+		} else if code := exitCode(err); code != 2 {
+			t.Errorf("%s with a server list: exit status %d, want 2", c.name, code)
 		}
 	}
 

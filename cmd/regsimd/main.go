@@ -20,8 +20,9 @@
 // and attached to the request's trace.
 //
 // With -store DIR the daemon keeps a durable content-addressed result
-// store under DIR: completed points are appended asynchronously, memo
-// misses consult the store before simulating, and a restart on the same
+// store under DIR: a worker appends each point it simulates before the
+// point's result is returned, memo misses consult the store before
+// simulating, and a restart on the same
 // directory answers repeated sweeps from disk (warm start). The store's
 // hit counters appear under serve.runner.store_* in /debug/vars.
 //
@@ -103,8 +104,8 @@ func main() {
 	// starts: memo misses consult the store, completed points append to
 	// it, and a restart on the same directory serves repeated sweeps
 	// without re-simulating. The store outlives the runner: Drain closes
-	// the backend (flushing queued appends), and only then is the store
-	// itself closed.
+	// the backend (waiting for the in-flight appends), and only then is
+	// the store itself closed.
 	backend := sim.NewRunner(*workers)
 	var rstore *sim.ResultStore
 	if *storeDir != "" {
@@ -159,9 +160,9 @@ func main() {
 			closeStore(rstore)
 			os.Exit(1)
 		}
-		// Drain closed the backend, which flushed every queued store
-		// append; closing the store now releases the writer lock with all
-		// results durable.
+		// Drain closed the backend, whose workers finished every in-flight
+		// store append; closing the store now releases the writer lock
+		// with all results durable.
 		closeStore(rstore)
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "regsimd: shutdown: %v\n", err)

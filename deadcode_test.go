@@ -26,7 +26,6 @@ var deadcodeAllowlist = map[string]string{
 	"regcache/internal/store.(*Store).SetWriteHook":             "fault-injection seam for the crash-consistency tests",
 	"regcache/internal/store.(*Store).Sync":                     "durability call: fsync without closing",
 	"regcache/internal/sim.(*ResultStore).WithSimulatorVersion": "seam that ages a store for the version-bump tests",
-	"regcache/internal/sim.(*Runner).ResetStats":                "zeroes run-layer counters between measured benchmark phases",
 	"regcache/internal/sim.Execute":                             "unmemoized entry the throughput benchmarks time",
 }
 
@@ -37,10 +36,13 @@ var deadcodeAllowlist = map[string]string{
 // package-level vars of each main package (cmd/..., examples/...) and of
 // perfbench, the benchmark harness, whose own module's tests count as
 // roots too. A method counts as reached when its receiver type is reached
-// and some interface in the checked packages (the standard library's
-// included) has a method of that name, since a dynamic call leaves no
-// static reference. A constant in an iota block is reached when any
-// member of its block is, because deleting one renumbers the rest.
+// and that type, or a pointer to it, implements an interface in the
+// checked packages (the standard library's included) that declares the
+// method, since a dynamic call leaves no static reference. Error, Unwrap,
+// Is and As count by name alone: package errors asserts them through
+// interfaces declared inside its function bodies. A constant in an iota
+// block is reached when any member of its block is, because deleting one
+// renumbers the rest.
 func TestNoUnreachedDeclarations(t *testing.T) {
 	l, err := newDeadcodeLoader(".")
 	if err != nil {
@@ -281,7 +283,7 @@ func (l *deadcodeLoader) unreached() []deadDecl {
 			reach(m)
 		}
 	}
-	ifaceNames := l.interfaceMethodNames()
+	dynamic := l.dynamicMethods()
 	for len(queue) > 0 {
 		for len(queue) > 0 {
 			s := queue[len(queue)-1]
@@ -300,10 +302,11 @@ func (l *deadcodeLoader) unreached() []deadDecl {
 				return true
 			})
 		}
-		// Dynamic calls: a reached type's method that some interface names.
+		// Dynamic calls: a reached type's method that an interface it
+		// implements declares.
 		for obj := range site {
-			if fn, ok := obj.(*types.Func); ok && !reached[fn] && ifaceNames[fn.Name()] {
-				if recv := receiverType(fn); recv != nil && reached[recv] {
+			if fn, ok := obj.(*types.Func); ok && !reached[fn] {
+				if recv := receiverType(fn); recv != nil && reached[recv] && dynamic(fn) {
 					reach(fn)
 				}
 			}
@@ -357,18 +360,24 @@ func (l *deadcodeLoader) imported() map[string]bool {
 	return live
 }
 
-// interfaceMethodNames returns the method names of every interface in
-// the checked packages and the packages they import, the standard
-// library's included.
-func (l *deadcodeLoader) interfaceMethodNames() map[string]bool {
-	// The predeclared error, and the methods package errors asserts
-	// through unnamed interfaces.
-	names := map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
+// dynamicMethods returns a predicate reporting whether a method may be
+// called through an interface: its receiver type T, or *T, implements an
+// interface that declares the method, among every interface in the
+// checked packages and the packages they import, the standard library's
+// included. Error, Unwrap, Is and As hold by name: package errors asserts
+// them through unnamed interfaces whose declarations export data omits.
+func (l *deadcodeLoader) dynamicMethods() func(fn *types.Func) bool {
+	byName := map[string][]*types.Interface{}
+	seenIface := map[*types.Interface]bool{}
 	add := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
-			}
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seenIface[it] {
+			return
+		}
+		seenIface[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			byName[name] = append(byName[name], it)
 		}
 	}
 	seen := map[*types.Package]bool{}
@@ -396,7 +405,22 @@ func (l *deadcodeLoader) interfaceMethodNames() map[string]bool {
 			}
 		}
 	}
-	return names
+	byNameOnly := map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
+	return func(fn *types.Func) bool {
+		if byNameOnly[fn.Name()] {
+			return true
+		}
+		t := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		for _, it := range byName[fn.Name()] {
+			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // receiverType returns the named type a method is declared on, or nil

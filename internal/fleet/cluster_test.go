@@ -102,16 +102,6 @@ func (c *cluster) jobsRun() uint64 {
 	return total
 }
 
-// resetStats zeroes every node's runner ledger. ResetStats fences against
-// the asynchronous store flusher, so on return every append from work
-// completed so far is durable — which the hedge test needs before it can
-// rely on peer store shards.
-func (c *cluster) resetStats() {
-	for _, n := range c.nodes {
-		n.backend.ResetStats()
-	}
-}
-
 type clusterOpts struct {
 	stores     bool
 	hedgeAfter time.Duration
@@ -382,10 +372,10 @@ func TestClusterKilledNodeHedge(t *testing.T) {
 		t.Fatalf("cold run jobs = %d, want %d", got, clusterPoints)
 	}
 
-	// ResetStats both waits for every cold-run store append to land (the
-	// hedge path depends on the victim's shard being durable) and zeroes
-	// the ledger so "no re-simulation" below is an exact == 0 assertion.
-	c.resetStats()
+	// A node appends each result to its store shard before answering, so
+	// the victim's shard already holds its points (the hedge path depends
+	// on it). The snapshot makes "no re-simulation" below exact.
+	jobsBefore := c.jobsRun()
 	victim, owned := pickVictim(t, c)
 	hedgesBefore, winsBefore := c.fleetCounter("hedges"), c.fleetCounter("hedge_wins")
 	resolvedBefore := c.fleetCounter("points_store_resolved")
@@ -400,7 +390,7 @@ func TestClusterKilledNodeHedge(t *testing.T) {
 	if !bytes.Equal(cold, hedged) {
 		t.Errorf("hedged sweep not byte-identical to cold run:\ncold:   %s\nhedged: %s", cold, hedged)
 	}
-	if got := c.jobsRun(); got != 0 {
+	if got := c.jobsRun() - jobsBefore; got != 0 {
 		t.Errorf("jobs run during hedged sweep = %d, want 0 (store shards must prevent re-simulation)", got)
 	}
 	if c.fleetCounter("hedges") == hedgesBefore {
@@ -492,7 +482,6 @@ func TestClusterStoreEndpointServesShard(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", status, body)
 	}
-	c.resetStats() // fence: wait for the asynchronous store appends
 	benches, schemes, opts := clusterMatrix(t)
 	checked := 0
 	for _, sc := range schemes {

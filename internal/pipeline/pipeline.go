@@ -166,9 +166,6 @@ type Pipeline struct {
 	uopFree  []*uop
 	fillFree []*fillReq
 
-	// RetireHook, when set, observes every retiring uop (tracing/tests).
-	RetireHook func(u *Uop)
-
 	// tracer receives structured stage-transition and cache events when
 	// non-nil; every emission site is nil-guarded so the untraced hot loop
 	// pays one branch and no allocation.

@@ -60,9 +60,6 @@ func (pl *Pipeline) retireOne(tc *threadCtx, u *uop) {
 	if pl.tracer != nil {
 		pl.tracePipe(u, obs.StageRetire, pl.now)
 	}
-	if pl.RetireHook != nil {
-		pl.RetireHook(u)
-	}
 
 	// Architectural read counting for degree-of-use training.
 	for i := range u.srcs {

@@ -5,6 +5,7 @@ import (
 
 	"regcache/internal/core"
 	"regcache/internal/isa"
+	"regcache/internal/obs"
 	"regcache/internal/prog"
 )
 
@@ -160,20 +161,31 @@ func TestWrongPathStatistics(t *testing.T) {
 		refPCs[i] = e.PC()
 		e.StepInst(p.InstAt(e.PC()))
 	}
-	idx := 0
-	mismatch := false
-	pl.RetireHook = func(u *Uop) {
-		if idx < n && u.inst.PC != refPCs[idx] {
-			mismatch = true
-		}
-		idx++
-	}
+	var retired retirePCs
+	pl.SetTracer(&retired)
 	r := pl.Run(n)
-	if mismatch {
-		t.Fatal("retired stream diverged from the functional reference")
+	if uint64(len(retired)) != r.Stats.Retired {
+		t.Fatalf("traced %d retirements, pipeline retired %d", len(retired), r.Stats.Retired)
+	}
+	for i, pc := range retired {
+		if i < n && pc != refPCs[i] {
+			t.Fatalf("retired instruction %d at pc %#x, functional reference %#x", i, pc, refPCs[i])
+		}
 	}
 	if r.Stats.Mispredicts == 0 || r.Stats.Squashed == 0 {
 		t.Fatal("twolf must mispredict and squash")
+	}
+}
+
+// retirePCs is a tracer that records the PC of every retiring uop, in
+// retirement order.
+type retirePCs []uint64
+
+func (r *retirePCs) TraceCache(obs.CacheEvent) {}
+
+func (r *retirePCs) TracePipe(e obs.PipeEvent) {
+	if e.Stage == obs.StageRetire {
+		*r = append(*r, e.PC)
 	}
 }
 

@@ -34,10 +34,6 @@ type srcOp struct {
 // isReal reports whether the operand names a readable register.
 func (s *srcOp) isReal() bool { return s.reg != isa.RegNone && !s.reg.IsZeroReg() }
 
-// Uop is one in-flight instruction. Exported fields are read-only from
-// outside the package; the RetireHook receives each retiring Uop.
-type Uop = uop
-
 // uop is one in-flight instruction.
 type uop struct {
 	seq  uint64

@@ -90,9 +90,9 @@ func TestRunnerCloseDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestSubmitRespectsContext cancels a submitter blocked on a full queue:
-// it must return the context error instead of blocking until space frees,
-// and the failed entry must not poison later requests for the same job.
+// TestSubmitRespectsContext cancels requesters whose jobs wait behind a
+// busy worker: each must return the context error instead of waiting for
+// its job, and an abandoned job must not poison later requests for it.
 func TestSubmitRespectsContext(t *testing.T) {
 	r := NewRunner(1)
 	defer r.Close()
@@ -100,7 +100,7 @@ func TestSubmitRespectsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	const n = 40 // worker capacity 1, queue capacity 16: most of these block
+	const n = 40 // one worker: most of these jobs are still waiting at the cancel
 	errs := make([]error, n)
 	for i := range errs {
 		wg.Add(1)

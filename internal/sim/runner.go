@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,19 +102,23 @@ type PointTiming struct {
 }
 
 // memoEntry is one single-flight memoization slot: the first requester
-// owns it and enqueues the job; everyone waits on done.
+// creates it and queues the job; everyone waits on done.
 type memoEntry struct {
-	done   chan struct{}
-	res    pipeline.Result
-	err    error
-	timing PointTiming // written by the executing worker before done closes
+	done    chan struct{}
+	res     pipeline.Result
+	err     error
+	timing  PointTiming // written by the executing worker before done closes
+	waiters int         // requesters that have not left (under Runner.mu)
 }
 
-// queued is one queue item: run executes the simulation, fail settles the
-// entry without simulating (runner closed while the job was still queued).
-type queued struct {
-	run  func()
-	fail func(error)
+// queuedJob is one FIFO item: a job no worker has taken yet. It, not the
+// memo entry (which lives as long as the runner), carries the first
+// submitter's span and submit time.
+type queuedJob struct {
+	j         Job
+	e         *memoEntry
+	sp        *obs.Span
+	submitted time.Time
 }
 
 // Runner executes simulation jobs on a bounded worker pool and memoizes
@@ -125,35 +130,22 @@ type queued struct {
 type Runner struct {
 	workers   int
 	workloads *WorkloadCache // shared pre-decoded programs + oracle tables
-	queue     chan queued
-	start     sync.Once
-	closing   chan struct{} // closed by Close; unblocks submitters and workers
-	closeMu   sync.Once
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the worker goroutines
 
 	mu      sync.Mutex
+	work    *sync.Cond  // signalled when fifo gains a job or the runner closes
+	fifo    []queuedJob // jobs waiting for a worker, oldest first
 	memo    map[Job]*memoEntry
 	stats   RunnerStats
 	open    int // memo entries not yet settled (queued or executing)
-	pending int // queue items sent (or committed to send) and not yet received
 	closed  bool
 	started bool // worker pool launched (UseStore must precede this)
 
 	// Durable result store (nil unless UseStore attached one): the L2 of
-	// the cache hierarchy. Completed jobs append asynchronously through
-	// the bounded flush queue; Close drains it.
-	store   *ResultStore
-	flushQ  chan flushItem
-	flushWG sync.WaitGroup
-
-	// Flush-generation fence (under mu): flushSeq counts results handed to
-	// the store path, flushDone counts appends that finished (success or
-	// error). ResetStats waits on flushCond until the appends in flight at
-	// its entry have landed, so counter generations never mix.
-	flushSeq       uint64
-	flushDone      uint64
-	flushCond      *sync.Cond
-	storeErrLogged bool // first store-append failure logged (never reset)
+	// the cache hierarchy. It is fixed before the workers start, so they
+	// read it without the lock.
+	store          *ResultStore
+	storeErrLogged bool // first store-append failure logged
 
 	jobWall      *obs.HistogramVar // per-job sim wall time, milliseconds (nil until RegisterMetrics)
 	queueWait    *obs.HistogramVar // per-job queue wait, milliseconds
@@ -169,16 +161,6 @@ type Runner struct {
 
 	// flight receives panic/error events from job execution (nil = off).
 	flight *obs.FlightRecorder
-}
-
-// flushItem is one completed job awaiting its asynchronous store append.
-// sp is the executing request's point span: the append is asynchronous,
-// so its span lands under the point that produced the result (and is
-// simply dropped if that trace has already been dumped).
-type flushItem struct {
-	j   Job
-	res pipeline.Result
-	sp  *obs.Span
 }
 
 // NewRunner builds a runner with the given pool size; workers <= 0 selects
@@ -200,14 +182,9 @@ func NewRunnerWith(workers int, wc *WorkloadCache) *Runner {
 	r := &Runner{
 		workers:   workers,
 		workloads: wc,
-		// The buffer only decouples submission from execution; correctness
-		// does not depend on its size (submitters may block, workers never
-		// submit).
-		queue:   make(chan queued, 16*workers),
-		closing: make(chan struct{}),
-		memo:    make(map[Job]*memoEntry),
+		memo:      make(map[Job]*memoEntry),
 	}
-	r.flushCond = sync.NewCond(&r.mu)
+	r.work = sync.NewCond(&r.mu)
 	return r
 }
 
@@ -232,43 +209,12 @@ func (r *Runner) Open() int {
 	return r.open
 }
 
-// Reset drops every memoized result (the pool keeps running). Used by
-// benchmarks that measure cold-cache throughput. Counters are NOT cleared:
-// call ResetStats alongside Reset when hit-rates must describe only the
-// post-Reset generation.
-func (r *Runner) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.memo = make(map[Job]*memoEntry)
-}
-
-// ResetStats zeroes the runner counters and returns the pre-reset
-// snapshot. Without it, a Reset leaves CacheHits/JobsRun mixing memo
-// generations, so hit-rates derived from the expvar counters after a
-// Reset would be misleading.
-//
-// The reset is fenced against the asynchronous store flusher: appends
-// already handed to the store path when ResetStats is called count toward
-// the returned snapshot, not the new generation, so the caller may have to
-// wait for those writes to land. Appends enqueued afterwards belong to the
-// new generation as expected.
-func (r *Runner) ResetStats() RunnerStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for target := r.flushSeq; r.flushDone < target; {
-		r.flushCond.Wait()
-	}
-	prev := r.stats
-	r.stats = RunnerStats{}
-	return prev
-}
-
 // UseStore attaches a durable result store as the L2 of the cache
 // hierarchy: a memo miss consults the store before simulating (a hit
-// promotes into the memo via the normal single-flight entry), and every
-// completed simulation is appended asynchronously through a bounded flush
-// queue that Close drains. It must be called before the first submission
-// starts the worker pool.
+// promotes into the memo via the normal single-flight entry), and the
+// worker appends every completed simulation before it settles the job, so
+// a requester that has a result also has it on disk. It must be called
+// before the first submission starts the worker pool.
 func (r *Runner) UseStore(rs *ResultStore) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -279,33 +225,7 @@ func (r *Runner) UseStore(rs *ResultStore) error {
 		return errors.New("sim: UseStore called after the runner started")
 	}
 	r.store = rs
-	if r.flushQ == nil {
-		r.flushQ = make(chan flushItem, 4*r.workers)
-		r.flushWG.Add(1)
-		go r.flusher()
-	}
 	return nil
-}
-
-// flusher is the store-append goroutine: it serializes the asynchronous
-// writes so simulation workers never block on store I/O.
-func (r *Runner) flusher() {
-	defer r.flushWG.Done()
-	for it := range r.flushQ {
-		sp := it.sp.StartChild("store-append")
-		r.storePut(it.j, it.res)
-		sp.End()
-		r.flushDoneOne()
-	}
-}
-
-// flushDoneOne marks one flush-path append as landed and wakes any
-// ResetStats fenced on it.
-func (r *Runner) flushDoneOne() {
-	r.mu.Lock()
-	r.flushDone++
-	r.mu.Unlock()
-	r.flushCond.Broadcast()
 }
 
 // UseFlight attaches a flight recorder: job panics and store-append
@@ -323,14 +243,10 @@ func (r *Runner) flightRecorder() *obs.FlightRecorder {
 	return r.flight
 }
 
+// storePut appends a completed result to the store (callers check that
+// one is attached).
 func (r *Runner) storePut(j Job, res pipeline.Result) {
-	r.mu.Lock()
-	rs := r.store
-	r.mu.Unlock()
-	if rs == nil {
-		return
-	}
-	if err := rs.Put(j, res); err != nil {
+	if err := r.store.Put(j, res); err != nil {
 		// A failed append loses durability for this result, not
 		// correctness (the memo still has it); count it so the loss is
 		// visible, and log the first one so the cause is too.
@@ -353,13 +269,10 @@ func (r *Runner) storePut(j Job, res pipeline.Result) {
 
 // storeLookup consults the durable store on a memo miss.
 func (r *Runner) storeLookup(j Job) (pipeline.Result, bool) {
-	r.mu.Lock()
-	rs := r.store
-	r.mu.Unlock()
-	if rs == nil {
+	if r.store == nil {
 		return pipeline.Result{}, false
 	}
-	res, st := rs.Get(j)
+	res, st := r.store.Get(j)
 	switch st {
 	case StoreGetHit:
 		return res, true
@@ -369,33 +282,6 @@ func (r *Runner) storeLookup(j Job) (pipeline.Result, bool) {
 		r.mu.Unlock()
 	}
 	return pipeline.Result{}, false
-}
-
-// storeEnqueue hands a completed result to the flush queue. When the
-// queue is full the append degrades to a synchronous write on the calling
-// worker rather than dropping durability on the floor. Either way the
-// append is registered with the flush fence before this returns, so a
-// ResetStats that observes the completed job also waits for its write.
-func (r *Runner) storeEnqueue(j Job, res pipeline.Result, sp *obs.Span) {
-	r.mu.Lock()
-	rs := r.store
-	q := r.flushQ
-	if rs != nil {
-		r.flushSeq++
-	}
-	r.mu.Unlock()
-	if rs == nil {
-		return
-	}
-	select {
-	case q <- flushItem{j: j, res: res, sp: sp}:
-	default:
-		ssp := sp.StartChild("store-append")
-		ssp.SetBool("sync_fallback", true)
-		r.storePut(j, res)
-		ssp.End()
-		r.flushDoneOne()
-	}
 }
 
 // RegisterMetrics publishes the runner's counters, an open-jobs gauge, and
@@ -451,177 +337,145 @@ func (r *Runner) MissByClass() [core.NumMissKinds]uint64 {
 	return r.aggMissBy
 }
 
-func (r *Runner) ensureStarted() {
-	r.start.Do(func() {
-		r.mu.Lock()
-		r.started = true
-		r.mu.Unlock()
-		r.wg.Add(r.workers)
-		for i := 0; i < r.workers; i++ {
-			go func() {
-				defer r.wg.Done()
-				for {
-					// Prefer shutdown over draining more work; Close fails
-					// whatever remains queued.
-					select {
-					case <-r.closing:
-						return
-					default:
-					}
-					select {
-					case q := <-r.queue:
-						r.decPending()
-						q.run()
-					case <-r.closing:
-						return
-					}
-				}
-			}()
-		}
-	})
-}
-
-func (r *Runner) decPending() {
-	r.mu.Lock()
-	r.pending--
-	r.mu.Unlock()
-}
-
-// submit returns the memo entry for j, enqueueing the simulation if this
-// call is the first to request it (single flight); fresh reports whether
-// this call created the entry (false = joined an in-flight or memoized
-// one). Submission blocks only while the queue is full; a cancelled
-// context or a concurrent Close abandons the submission and settles the
-// entry with the corresponding error so joined waiters are not stranded.
+// submit returns the memo entry for j, appending the job to the FIFO if
+// this call is the first to request it (single flight); fresh reports
+// whether this call created the entry (false = joined an in-flight or
+// memoized one). Submission never blocks, and the caller counts as a
+// waiter on the entry until it leaves (see wait). The first submission
+// starts the workers.
 //
 // The first submitter's request span (carried in ctx) traces the
-// execution: the worker opens store-lookup / simulate children under it.
-// Joiners contribute no spans — their cost is a wait, reported per
-// requester as Outcome "coalesced" by RunTimed. A point failing
-// ValidatePoint is refused before it reaches the memo.
+// execution: the worker opens store-lookup / simulate / store-append
+// children under it. Joiners contribute no spans — their cost is a wait,
+// reported per requester as Outcome "coalesced" by RunTimed. A point
+// failing ValidatePoint is refused before it reaches the memo.
 func (r *Runner) submit(ctx context.Context, j Job) (e *memoEntry, fresh bool, err error) {
 	if err := ValidatePoint(j.Scheme, j.Opts); err != nil {
 		return nil, false, err
 	}
 	j.Opts = j.Opts.withDefaults()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e, ok := r.memo[j]; ok {
 		r.stats.CacheHits++
-		r.mu.Unlock()
+		e.waiters++
 		return e, false, nil
 	}
 	if r.closed {
-		r.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	e = &memoEntry{done: make(chan struct{})}
+	if !r.started {
+		r.started = true
+		r.wg.Add(r.workers)
+		for i := 0; i < r.workers; i++ {
+			go r.worker()
+		}
+	}
+	e = &memoEntry{done: make(chan struct{}), waiters: 1}
 	r.memo[j] = e
 	r.open++
-	r.pending++ // committed to send (or to settle and decrement ourselves)
-	r.mu.Unlock()
+	r.fifo = append(r.fifo, queuedJob{j: j, e: e, sp: obs.SpanFromContext(ctx), submitted: time.Now()})
+	r.work.Signal()
+	return e, true, nil
+}
 
-	settle := func(err error) {
-		r.mu.Lock()
-		if cur, ok := r.memo[j]; ok && cur == e {
-			delete(r.memo, j) // a later submit may retry
+// worker executes FIFO jobs oldest-first until Close.
+func (r *Runner) worker() {
+	defer r.wg.Done()
+	r.mu.Lock()
+	for {
+		for len(r.fifo) == 0 && !r.closed {
+			r.work.Wait()
 		}
+		if r.closed {
+			r.mu.Unlock()
+			return
+		}
+		q := r.fifo[0]
+		r.fifo[0] = queuedJob{} // the backing array must not pin the span
+		r.fifo = r.fifo[1:]
+		r.mu.Unlock()
+		r.execute(q)
+		r.mu.Lock()
+	}
+}
+
+// execute runs one job a worker took: the durable-store lookup, else the
+// simulation and its store append. The entry settles last, after the
+// append.
+func (r *Runner) execute(q queuedJob) {
+	e, j := q.e, q.j
+	queueWait := time.Since(q.submitted)
+	if qh := r.queueWaitHist(); qh != nil {
+		qh.Add(int(queueWait.Milliseconds()))
+	}
+	e.timing.QueueWaitMS = durMS(queueWait)
+	// L2 lookup: a durable-store hit settles the entry without simulating
+	// (and without touching JobsRun/SimWall — the counters distinguish
+	// real work from replayed work).
+	lsp := q.sp.StartChild("store-lookup")
+	lookStart := time.Now()
+	res, ok := r.storeLookup(j)
+	e.timing.StoreLookupMS = durMS(time.Since(lookStart))
+	lsp.SetBool("hit", ok)
+	lsp.End()
+	if ok {
+		e.res = res
+		e.timing.Outcome = "store"
+		r.mu.Lock()
+		r.stats.StoreHits++
 		r.open--
 		r.mu.Unlock()
-		e.err = err
 		close(e.done)
+		return
 	}
-
-	submitTime := time.Now()
-	execSp := obs.SpanFromContext(ctx)
-
-	q := queued{
-		run: func() {
-			queueWait := time.Since(submitTime)
-			if qh := r.queueWaitHist(); qh != nil {
-				qh.Add(int(queueWait.Milliseconds()))
-			}
-			e.timing.QueueWaitMS = durMS(queueWait)
-			// L2 lookup: a durable-store hit settles the entry without
-			// simulating (and without touching JobsRun/SimWall — the
-			// counters distinguish real work from replayed work).
-			lsp := execSp.StartChild("store-lookup")
-			lookStart := time.Now()
-			res, ok := r.storeLookup(j)
-			e.timing.StoreLookupMS = durMS(time.Since(lookStart))
-			lsp.SetBool("hit", ok)
-			lsp.End()
-			if ok {
-				e.res = res
-				e.timing.Outcome = "store"
-				r.mu.Lock()
-				r.stats.StoreHits++
-				r.open--
-				r.mu.Unlock()
-				close(e.done)
-				return
-			}
-			ssp := execSp.StartChild("simulate")
-			ssp.SetString("bench", j.Bench)
-			ssp.SetString("scheme", j.Scheme.Name)
-			start := time.Now()
-			var stitch time.Duration
-			e.res, stitch, e.err = r.runJob(j, ssp)
-			wall := time.Since(start)
-			ssp.SetError(e.err)
-			ssp.End()
-			e.timing.Outcome = "simulated"
-			e.timing.SimMS = durMS(wall)
-			e.timing.StitchMS = durMS(stitch)
-			r.mu.Lock()
-			r.stats.JobsRun++
-			r.stats.SimWall += wall
-			if e.err != nil {
-				r.stats.Errors++
-			}
-			if e.err == nil && e.res.Intervals != nil {
-				r.stats.IntervalRuns++
-			}
-			if e.err == nil {
-				for k, n := range e.res.Cache.MissBy {
-					r.aggMissBy[k] += n
-				}
-			}
-			r.open--
-			wallHist := r.jobWall
-			skewHist, warmHist := r.intervalSkew, r.intervalWarm
-			r.mu.Unlock()
-			if wallHist != nil {
-				wallHist.Add(int(wall.Milliseconds()))
-			}
-			if iv := e.res.Intervals; e.err == nil && iv != nil {
-				if skewHist != nil {
-					skewHist.Add(int(100 * iv.Skew()))
-				}
-				if warmHist != nil {
-					warmHist.Add(int(100 * iv.WarmupFrac()))
-				}
-			}
-			close(e.done)
-			if e.err == nil {
-				r.storeEnqueue(j, e.res, execSp)
-			}
-		},
-		fail: settle,
+	ssp := q.sp.StartChild("simulate")
+	ssp.SetString("bench", j.Bench)
+	ssp.SetString("scheme", j.Scheme.Name)
+	start := time.Now()
+	var stitch time.Duration
+	e.res, stitch, e.err = r.runJob(j, ssp)
+	wall := time.Since(start)
+	ssp.SetError(e.err)
+	ssp.End()
+	e.timing.Outcome = "simulated"
+	e.timing.SimMS = durMS(wall)
+	e.timing.StitchMS = durMS(stitch)
+	if e.err == nil && r.store != nil {
+		asp := q.sp.StartChild("store-append")
+		r.storePut(j, e.res)
+		asp.End()
 	}
-
-	r.ensureStarted()
-	select {
-	case r.queue <- q:
-		return e, true, nil
-	case <-ctx.Done():
-		r.decPending()
-		settle(ctx.Err())
-		return nil, false, ctx.Err()
-	case <-r.closing:
-		r.decPending()
-		settle(ErrClosed)
-		return nil, false, ErrClosed
+	r.mu.Lock()
+	r.stats.JobsRun++
+	r.stats.SimWall += wall
+	if e.err != nil {
+		r.stats.Errors++
 	}
+	if e.err == nil && e.res.Intervals != nil {
+		r.stats.IntervalRuns++
+	}
+	if e.err == nil {
+		for k, n := range e.res.Cache.MissBy {
+			r.aggMissBy[k] += n
+		}
+	}
+	r.open--
+	wallHist := r.jobWall
+	skewHist, warmHist := r.intervalSkew, r.intervalWarm
+	r.mu.Unlock()
+	if wallHist != nil {
+		wallHist.Add(int(wall.Milliseconds()))
+	}
+	if iv := e.res.Intervals; e.err == nil && iv != nil {
+		if skewHist != nil {
+			skewHist.Add(int(100 * iv.Skew()))
+		}
+		if warmHist != nil {
+			warmHist.Add(int(100 * iv.WarmupFrac()))
+		}
+	}
+	close(e.done)
 }
 
 func (r *Runner) queueWaitHist() *obs.HistogramVar {
@@ -656,66 +510,58 @@ func (r *Runner) runJob(j Job, sp *obs.Span) (res pipeline.Result, stitch time.D
 	return res, time.Duration(stitchNS), err
 }
 
-// Close shuts the worker pool down: workers exit after their in-flight
-// job, still-queued jobs are settled with ErrClosed, and subsequent
-// submissions fail fast. Memoized results remain readable. Close is
-// idempotent and safe to call concurrently with submissions.
+// Close shuts the worker pool down: every job still in the FIFO settles
+// with ErrClosed, workers exit after their in-flight job (its store append
+// included), and subsequent submissions fail fast. Memoized results remain
+// readable. Close is idempotent and safe to call concurrently with
+// submissions.
 func (r *Runner) Close() {
-	r.closeMu.Do(func() {
-		r.mu.Lock()
-		r.closed = true
-		r.mu.Unlock()
-		close(r.closing)
-		r.start.Do(func() {}) // a never-started pool has no workers to wait for
-		r.wg.Wait()
-		// Drain and fail whatever is still queued, including sends that
-		// were committed before the close flag landed.
-		for {
-			r.mu.Lock()
-			p := r.pending
-			r.mu.Unlock()
-			if p == 0 {
-				break
-			}
-			select {
-			case q := <-r.queue:
-				r.decPending()
-				q.fail(ErrClosed)
-			case <-time.After(time.Millisecond):
-				// A submitter committed (pending incremented) but has not
-				// sent yet; give it a beat and re-check.
-			}
-		}
-		// Workers have exited, so no new flush items can arrive: drain
-		// the store flush queue so every completed result is durable
-		// before Close returns (the daemon's graceful-drain guarantee).
-		r.mu.Lock()
-		q := r.flushQ
-		r.mu.Unlock()
-		if q != nil {
-			close(q)
-			r.flushWG.Wait()
-		}
-	})
+	r.mu.Lock()
+	r.closed = true
+	for _, q := range r.fifo {
+		delete(r.memo, q.j)
+		q.e.err = ErrClosed
+		close(q.e.done)
+	}
+	r.open -= len(r.fifo)
+	r.fifo = nil
+	r.work.Broadcast()
+	r.mu.Unlock()
+	r.wg.Wait()
 }
 
-// wait blocks until the entry completes or the context is cancelled. A
-// cancelled wait does not cancel the underlying job: other requesters may
-// be joined on the same entry, and the memoized result stays valid.
+// wait blocks until the entry settles or ctx ends. A requester whose
+// context ends leaves the entry. When the last waiter leaves before a
+// worker takes the job, the job leaves the FIFO and the memo and settles
+// with that requester's context error: it never runs, and a later request
+// starts it afresh. A job a worker has taken runs on and stays memoized,
+// so a joiner is never failed by another requester's context.
 func (r *Runner) wait(ctx context.Context, e *memoEntry) (pipeline.Result, error) {
 	select {
 	case <-e.done:
 		return e.res, e.err
 	case <-ctx.Done():
-		return pipeline.Result{}, ctx.Err()
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e.waiters--
+	if e.waiters == 0 {
+		if i := slices.IndexFunc(r.fifo, func(q queuedJob) bool { return q.e == e }); i >= 0 {
+			delete(r.memo, r.fifo[i].j)
+			r.fifo = slices.Delete(r.fifo, i, i+1)
+			r.open--
+			e.err = ctx.Err()
+			close(e.done)
+		}
+	}
+	return pipeline.Result{}, ctx.Err()
 }
 
 // Run simulates one benchmark under one scheme through the memoizing pool:
 // repeated requests for the same (scheme, benchmark, options) triple
-// execute once and share the result. The context covers both queue
-// submission and the wait for the result. It is RunTimed without the
-// timing.
+// execute once and share the result. The context bounds the wait: a
+// requester whose context ends leaves (see wait). It is RunTimed without
+// the timing.
 func (r *Runner) Run(ctx context.Context, bench string, s Scheme, o Options) (pipeline.Result, error) {
 	res, _, err := r.RunTimed(ctx, bench, s, o)
 	return res, err
@@ -745,9 +591,10 @@ func (r *Runner) RunTimed(ctx context.Context, bench string, s Scheme, o Options
 	}, nil
 }
 
-// Prefetch enqueues every scheme×benchmark pair without waiting, so the
+// Prefetch queues every scheme×benchmark pair without waiting, so the
 // pool can overlap simulations that a caller will collect serially later.
-// Already-memoized pairs are no-ops.
+// Already-memoized pairs are no-ops. A prefetch never leaves, so its jobs
+// always run.
 func (r *Runner) Prefetch(benches []string, schemes []Scheme, o Options) {
 	for _, s := range schemes {
 		for _, b := range benches {

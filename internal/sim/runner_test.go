@@ -96,24 +96,9 @@ func TestRunnerContextCancellation(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The job itself still completes and is memoized for later callers.
+	// The abandoned request leaves nothing behind: a later one succeeds.
 	if _, err := r.Run(context.Background(), "gzip", Monolithic(1), Options{Insts: 5_000}); err != nil {
 		t.Fatalf("post-cancel request failed: %v", err)
-	}
-}
-
-func TestRunnerReset(t *testing.T) {
-	r := NewRunner(1)
-	o := Options{Insts: 5_000}
-	if _, err := r.Run(context.Background(), "gzip", Monolithic(1), o); err != nil {
-		t.Fatal(err)
-	}
-	r.Reset()
-	if _, err := r.Run(context.Background(), "gzip", Monolithic(1), o); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.JobsRun != 2 {
-		t.Errorf("jobs run = %d after reset, want 2", st.JobsRun)
 	}
 }
 

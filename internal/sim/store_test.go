@@ -2,7 +2,7 @@ package sim
 
 // Tests for the durable result store integration: fingerprint hygiene,
 // warm restarts across runner generations, simulator-version staleness,
-// corrupt-entry fallback, and the ResetStats counter boundary.
+// and corrupt-entry fallback.
 
 import (
 	"bytes"
@@ -132,7 +132,7 @@ func TestRunnerWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
-	r1.Close() // drains the flush queue
+	r1.Close()
 	if st := r1.Stats(); st.JobsRun != 1 || st.StoreHits != 0 || st.StoreWrites != 1 {
 		t.Fatalf("cold generation stats: %+v", st)
 	}
@@ -288,31 +288,5 @@ func TestUseStoreAfterStartRefused(t *testing.T) {
 	defer rs.Close()
 	if err := r.UseStore(rs); err == nil {
 		t.Fatal("UseStore after the pool started must be refused")
-	}
-}
-
-// TestResetStats: the snapshot returned is the closed generation; the
-// live counters restart from zero while the memo cache stays warm.
-func TestResetStats(t *testing.T) {
-	j := testStoreJob()
-	r := NewRunnerWith(1, NewWorkloadCache())
-	defer r.Close()
-	if _, err := r.Run(context.Background(), j.Bench, j.Scheme, j.Opts); err != nil {
-		t.Fatal(err)
-	}
-	prev := r.ResetStats()
-	if prev.JobsRun != 1 {
-		t.Fatalf("snapshot: %+v", prev)
-	}
-	if st := r.Stats(); st.JobsRun != 0 || st.CacheHits != 0 || st.SimWall != 0 {
-		t.Fatalf("counters must restart from zero: %+v", st)
-	}
-	// The memo survives the counter reset: a rerun is a cache hit in the
-	// new generation, not a new simulation mixed into old totals.
-	if _, err := r.Run(context.Background(), j.Bench, j.Scheme, j.Opts); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.JobsRun != 0 || st.CacheHits != 1 {
-		t.Fatalf("post-reset generation: %+v", st)
 	}
 }

@@ -13,7 +13,10 @@
 // header, fsync, directory fsync), offline compaction rewrites live
 // records into fresh segments before deleting the old ones, and an
 // optional size cap garbage-collects the least-recently-re-hit entries
-// oldest-first.
+// oldest-first. Appends are not fsynced one by one: the store is a cache
+// of recomputable results, so its durability contract is "whatever a
+// crash tears off, reopen drops cleanly", not "every append survives
+// power loss".
 //
 // The package is deliberately generic — keys are fingerprints, values are
 // bytes — so it has no dependencies on the simulation packages;
@@ -54,12 +57,6 @@ type Options struct {
 	// triggers a GC of least-recently-re-hit entries down to 7/8 of the
 	// cap, followed by a compaction. 0 = uncapped.
 	MaxBytes int64
-
-	// SyncEveryPut fsyncs the active segment after every append. Off by
-	// default: the store is a cache of recomputable results, so the
-	// durability contract is "whatever a crash tears off, reopen drops
-	// cleanly", not "every append survives power loss".
-	SyncEveryPut bool
 }
 
 func (o Options) withDefaults() Options {
@@ -488,11 +485,6 @@ func (s *Store) Put(k Key, v []byte) error {
 	}
 	s.activeSize += int64(n)
 	s.segSize[s.activeID] = s.activeSize
-	if s.opt.SyncEveryPut {
-		if err := s.active.Sync(); err != nil {
-			return fmt.Errorf("store: sync: %w", err)
-		}
-	}
 	s.indexPut(k, entry{seg: s.activeID, off: off, len: int64(len(s.buf))})
 	s.stats.Puts++
 	if s.opt.MaxBytes > 0 && s.stats.LiveBytes > s.opt.MaxBytes {
